@@ -1,7 +1,9 @@
 """Model backends: where predictions come from.
 
 Four flavors — pre-computed prediction files, a subprocess invoked per
-instance, an HTTP endpoint, and built-in reference models.  The reference
+distinct input, an HTTP endpoint, and built-in reference models.  The
+subprocess and HTTP backends remember each answer for the backend's
+lifetime (one run), so no input is sent twice.  The reference
 models are deliberately simple probes: a faithful oracle that actually reads
 the table, positionally biased readers, and a constant-answer model.  A
 harness that cannot distinguish these has no business judging real systems.
@@ -9,6 +11,8 @@ harness that cannot distinguish these has no business judging real systems.
 
 from __future__ import annotations
 
+import hashlib
+import http.client
 import json
 import os
 import subprocess
@@ -111,7 +115,8 @@ class ReferenceBackend:
 
 class FileBackend:
     """Reads pre-computed predictions: one JSONL file per condition, named
-    original.jsonl or <kind>.seed<k>.jsonl, lines {"instance_id", "prediction"}."""
+    original.jsonl or <kind>.seed<k>.jsonl, lines {"instance_id", "prediction"}.
+    A missing or null prediction is recorded as that instance's failure."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -132,7 +137,7 @@ class FileBackend:
         path = self._path_for(condition)
         if not path.exists():
             raise DatasetError(f"predictions file not found: {path}")
-        loaded: dict[str, str] = {}
+        loaded: dict[str, object] = {}
         with path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -140,36 +145,41 @@ class FileBackend:
                     continue
                 try:
                     obj = json.loads(line)
-                    loaded[str(obj["instance_id"])] = str(obj["prediction"])
+                    loaded[str(obj["instance_id"])] = obj["prediction"]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise DatasetError(f"{path}: line {lineno}: bad prediction record: {exc}")
         entries: dict[str, str | None] = {}
         failures: dict[str, str] = {}
         for inst in instances:
-            if inst.id in loaded:
-                entries[inst.id] = loaded[inst.id]
-            else:
+            prediction = loaded.get(inst.id)
+            if prediction is None:
                 entries[inst.id] = None
-                failures[inst.id] = f"no prediction in {path.name}"
+                failures[inst.id] = (
+                    f"null prediction in {path.name}"
+                    if inst.id in loaded
+                    else f"no prediction in {path.name}"
+                )
+            else:
+                entries[inst.id] = str(prediction)
         return entries, failures
 
 
 class SubprocessBackend:
-    """Pipes "question\\nserialized table\\n" to a shell command per instance
-    and takes the first stdout line as the answer."""
+    """Pipes "question\\nserialized table\\n" (UTF-8) to a shell command per
+    distinct input and takes the first stdout line as the answer."""
 
     def __init__(self, command: str, timeout: float = 30.0, retries: int = 0, workers: int = 1):
         self.command = command
         self.timeout = timeout
         self.retries = retries
         self.workers = max(1, workers)
+        self._answers: dict[str, str] = {}
 
     @property
     def model_id(self) -> str:
         return f"subprocess:{self.command}"
 
-    def _predict_one(self, inst: QAInstance) -> tuple[str, str | None, str | None]:
-        payload = f"{inst.question}\n{serialize(inst.table)}\n"
+    def _ask(self, payload: bytes) -> tuple[str | None, str | None]:
         last_error = "no attempts made"
         for _ in range(self.retries + 1):
             try:
@@ -178,42 +188,46 @@ class SubprocessBackend:
                     shell=True,
                     input=payload,
                     capture_output=True,
-                    text=True,
                     timeout=self.timeout,
                 )
             except subprocess.TimeoutExpired:
                 last_error = f"timed out after {self.timeout}s"
                 continue
             if proc.returncode != 0:
-                last_error = f"exit code {proc.returncode}: {proc.stderr.strip()[:200]}"
+                stderr = proc.stderr.decode("utf-8", "replace").strip()
+                last_error = f"exit code {proc.returncode}: {stderr[:200]}"
                 continue
-            return inst.id, proc.stdout.splitlines()[0].strip() if proc.stdout else "", None
-        return inst.id, None, last_error
+            lines = proc.stdout.decode("utf-8", "replace").splitlines()
+            return (lines[0].strip() if lines else ""), None
+        return None, last_error
 
     def predictions_for(
         self, condition: tuple[str, int], instances: Sequence[QAInstance]
     ) -> tuple[dict[str, str | None], dict[str, str]]:
-        return _collect(self._predict_one, instances, self.workers)
+        payloads = [
+            (inst.id, f"{inst.question}\n{serialize(inst.table)}\n".encode("utf-8"))
+            for inst in instances
+        ]
+        return _ask_each_once(self._ask, payloads, self._answers, self.workers)
 
 
 class HttpBackend:
-    """POSTs {"question", "table_serialized"} as JSON and expects {"answer"}.
-    A bearer token is forwarded from the FREB_HTTP_TOKEN environment variable."""
+    """POSTs {"question", "table_serialized"} as JSON per distinct input and
+    expects a JSON object {"answer": <string or number>} back.  A bearer
+    token is forwarded from the FREB_HTTP_TOKEN environment variable."""
 
     def __init__(self, url: str, timeout: float = 30.0, retries: int = 0, workers: int = 1):
         self.url = url
         self.timeout = timeout
         self.retries = retries
         self.workers = max(1, workers)
+        self._answers: dict[str, str] = {}
 
     @property
     def model_id(self) -> str:
         return f"http:{self.url}"
 
-    def _predict_one(self, inst: QAInstance) -> tuple[str, str | None, str | None]:
-        body = json.dumps(
-            {"question": inst.question, "table_serialized": serialize(inst.table)}
-        ).encode("utf-8")
+    def _ask(self, body: bytes) -> tuple[str | None, str | None]:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(HTTP_TOKEN_ENV)
         if token:
@@ -223,30 +237,72 @@ class HttpBackend:
             request = urllib.request.Request(self.url, data=body, headers=headers)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    answer = json.loads(response.read().decode("utf-8"))["answer"]
-                return inst.id, str(answer), None
-            except (urllib.error.URLError, json.JSONDecodeError, KeyError, TimeoutError) as exc:
+                    return _answer_of(json.loads(response.read().decode("utf-8"))), None
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 last_error = str(exc)
-        return inst.id, None, last_error
+        return None, last_error
 
     def predictions_for(
         self, condition: tuple[str, int], instances: Sequence[QAInstance]
     ) -> tuple[dict[str, str | None], dict[str, str]]:
-        return _collect(self._predict_one, instances, self.workers)
+        payloads = [
+            (
+                inst.id,
+                json.dumps(
+                    {"question": inst.question, "table_serialized": serialize(inst.table)}
+                ).encode("utf-8"),
+            )
+            for inst in instances
+        ]
+        return _ask_each_once(self._ask, payloads, self._answers, self.workers)
 
 
-def _collect(predict_one, instances, workers):
+def _answer_of(reply) -> str:
+    """The answer in an HTTP model's decoded reply; ValueError if there is none."""
+    if not isinstance(reply, dict):
+        raise ValueError(f"reply is not a JSON object: {json.dumps(reply)[:200]}")
+    if "answer" not in reply:
+        raise ValueError('reply has no "answer" key')
+    answer = reply["answer"]
+    if answer is None or isinstance(answer, (list, dict)):
+        raise ValueError(f'"answer" is not a string or number: {json.dumps(answer)[:200]}')
+    return str(answer)
+
+
+def _ask_each_once(ask, payloads, answers, workers):
+    """Answer (instance id, payload) pairs, calling ``ask`` once per new payload.
+
+    ``answers`` maps the sha256 of every payload answered earlier in the run
+    to its answer; payloads found there are not sent again, and new answers
+    are added after the worker pool returns.  ``ask(payload)`` returns
+    (answer, None) or (None, error).  A failed payload is not remembered:
+    every instance that sent it in this batch gets the failure, and a later
+    batch asks again.
+    """
+    keys = [hashlib.sha256(payload).hexdigest() for _, payload in payloads]
+    new: dict[str, bytes] = {}
+    for (_, payload), key in zip(payloads, keys):
+        if key not in answers:
+            new.setdefault(key, payload)
+    if workers > 1 and len(new) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(ask, new.values()))
+    else:
+        results = [ask(payload) for payload in new.values()]
+    errors: dict[str, str] = {}
+    for key, (answer, error) in zip(new, results):
+        if error is None:
+            answers[key] = answer
+        else:
+            errors[key] = error
     entries: dict[str, str | None] = {}
     failures: dict[str, str] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(predict_one, instances))
-    else:
-        results = [predict_one(inst) for inst in instances]
-    for iid, answer, error in results:
-        entries[iid] = answer
-        if error is not None:
-            failures[iid] = error
+    for (iid, _), key in zip(payloads, keys):
+        if key in errors:
+            entries[iid] = None
+            failures[iid] = errors[key]
+        else:
+            entries[iid] = answers[key]
     return entries, failures
 
 

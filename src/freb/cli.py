@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
+from .backends import HTTP_TOKEN_ENV
 from .classify import (
     ComparativeLexicon,
     HttpSecondary,
@@ -147,7 +149,12 @@ def _make_secondary(args):
         raise ConfigError("--combined needs exactly one of --secondary-cmd or --secondary-url")
     if args.secondary_cmd:
         return SubprocessSecondary(args.secondary_cmd, timeout=args.timeout, retries=args.retries)
-    return HttpSecondary(args.secondary_url, timeout=args.timeout, retries=args.retries)
+    return HttpSecondary(
+        args.secondary_url,
+        timeout=args.timeout,
+        retries=args.retries,
+        auth_token=os.environ.get(HTTP_TOKEN_ENV),
+    )
 
 
 def _cmd_classify(args) -> int:

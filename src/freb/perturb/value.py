@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from pathlib import Path
 
 from ..core import (
@@ -51,6 +51,9 @@ STRING = "STRING"
 ROW_REMOVAL = "ROW_REMOVAL"
 
 _MAX_ATTEMPTS = 10
+_MAX_EXACT_DIGITS = 10_000
+_EXACT = Context(prec=_MAX_EXACT_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_MEAN_DIGITS = 28
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,44 @@ def _numeric(table: Table, row: int, col: int) -> Decimal:
     return cell.parsed_number
 
 
+def _exact_sum(values: list[Decimal]) -> Decimal:
+    """sum(values), never rounded.
+
+    A sum whose running total needs more than _MAX_EXACT_DIGITS digits
+    (e.g. 1E+99999 + 1) is refused as NonNumericCell rather than rounded:
+    no QA answer is written that way.
+    """
+    with localcontext(_EXACT) as context:
+        total = sum(values, start=Decimal(0))
+    if context.flags[Inexact]:
+        raise NonNumericCell(f"values too far apart to add exactly in {_MAX_EXACT_DIGITS} digits")
+    return total
+
+
+def _mean(total: Decimal, n: int) -> Decimal:
+    """total / n: exact when it terminates, else rounded to _MEAN_DIGITS."""
+    # A terminating total / n has at most len(total's digits) + 2 * bit_length(n)
+    # digits, so a quotient that is inexact at this precision never terminates.
+    wide = Context(
+        prec=len(total.as_tuple().digits) + 2 * n.bit_length(), Emax=MAX_EMAX, Emin=MIN_EMIN
+    )
+    mean = wide.divide(total, Decimal(n))
+    if wide.flags[Inexact]:
+        mean = Context(prec=_MEAN_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN).divide(total, Decimal(n))
+    return mean
+
+
 def evaluate_aggregation(table: Table, descriptor: AggregationDescriptor) -> str:
     """Answer implied by the descriptor.
 
     ARGMAX/ARGMIN return the label cell of the unique extremal row; COUNT
     counts filter-column matches under answer normalization; SUM/AVG/DIFF
-    return canonical decimals; COMPARE_TWO returns the label of the larger
-    operand's row.  Ties among extremal values (or equal operands) raise
-    TieDetected so callers can skip the instance.
+    return canonical decimals, computed exactly (AVG whenever the mean
+    terminates; a non-terminating mean is rounded half-even to 28
+    significant digits, e.g. 1/3 gives "0.3333333333333333333333333333");
+    COMPARE_TWO returns the label of the larger operand's row.  Ties among
+    extremal values (or equal operands) raise TieDetected so callers can
+    skip the instance.
     """
     kind = descriptor.kind
     if kind in (ARGMAX, ARGMIN):
@@ -131,18 +164,18 @@ def evaluate_aggregation(table: Table, descriptor: AggregationDescriptor) -> str
     if kind in (SUM, AVG):
         if table.n_rows == 0:
             raise ValueError(f"{kind} over an empty table")
-        total = sum(
-            (_numeric(table, r, descriptor.value_col) for r in range(table.n_rows)),
-            start=Decimal(0),
+        total = _exact_sum(
+            [_numeric(table, r, descriptor.value_col) for r in range(table.n_rows)]
         )
         if kind == SUM:
             return canonical_decimal(total)
-        return canonical_decimal(total / Decimal(table.n_rows))
+        return canonical_decimal(_mean(total, table.n_rows))
     if kind == DIFF:
         if not descriptor.operands:
             raise MissingAnnotation("DIFF needs two operands")
         a, b = descriptor.operands
-        return canonical_decimal(_numeric(table, a.row, a.col) - _numeric(table, b.row, b.col))
+        minuend, subtrahend = _numeric(table, a.row, a.col), _numeric(table, b.row, b.col)
+        return canonical_decimal(_exact_sum([minuend, subtrahend.copy_negate()]))
     if kind == COMPARE_TWO:
         if not descriptor.operands:
             raise MissingAnnotation("COMPARE_TWO needs two operands")

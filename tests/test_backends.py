@@ -1,7 +1,9 @@
 """Reference models and the file/subprocess/HTTP prediction backends."""
 
 import json
+import shlex
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -20,9 +22,13 @@ from freb.backends import (
     run_reference_model,
 )
 from freb.core import ARGMAX, EQ, RQ, AggregationDescriptor, QAInstance, Table
-from freb.errors import BackendError, ConfigError, DatasetError
+from freb.errors import BackendError, ConfigError, DatasetError, PerturbSkip
+from freb.ingest import save_dataset
 from freb.metrics import ORIGINAL
-from freb.perturb import REMOVE_TABLE, apply_perturbation
+from freb.perturb import REMOVE_TABLE, TRANSPOSE, apply_perturbation
+from freb.pipeline import RunConfig, run_pipeline
+from freb.serialize import serialize
+from freb.toydata import build_toy_dataset
 
 LOOKUP = QAInstance(
     id="eq-1",
@@ -138,6 +144,15 @@ def test_file_backend_missing_instance_is_recorded(tmp_path):
     assert failures == {"eq-1": "no prediction in original.jsonl"}
 
 
+def test_file_backend_null_prediction_is_a_failure(tmp_path):
+    _write_predictions(
+        tmp_path / "original.jsonl", [{"instance_id": "eq-1", "prediction": None}]
+    )
+    entries, failures = FileBackend(tmp_path).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": None}
+    assert failures == {"eq-1": "null prediction in original.jsonl"}
+
+
 def test_file_backend_bad_record_cites_line(tmp_path):
     (tmp_path / "original.jsonl").write_text(
         '{"instance_id": "a", "prediction": "x"}\n{"instance_id": "b"}\n',
@@ -180,18 +195,82 @@ def test_subprocess_backend_parallel_workers():
     assert entries == {f"q{i}": f"question {i}" for i in range(8)}
 
 
+# Nine instances asking three distinct questions about one table.
+THREE_QUESTIONS = [
+    QAInstance(id=f"q{i}", question=f"question {i % 3}", answers=("x",), table=LOOKUP.table)
+    for i in range(9)
+]
+
+
+def _counting_command(counter):
+    return f"echo call >> {shlex.quote(str(counter))}; head -1"
+
+
+def _calls(counter):
+    return len(counter.read_text().splitlines()) if counter.exists() else 0
+
+
+def test_subprocess_backend_sends_duplicate_payloads_once(tmp_path):
+    counter = tmp_path / "calls"
+    backend = SubprocessBackend(_counting_command(counter))
+    batch = [LOOKUP, replace(LOOKUP, id="eq-2"), EXTREMAL]
+    entries, failures = backend.predictions_for((ORIGINAL, 0), batch)
+    assert failures == {}
+    assert entries == {
+        "eq-1": LOOKUP.question,
+        "eq-2": LOOKUP.question,
+        "rq-1": EXTREMAL.question,
+    }
+    assert _calls(counter) == 2
+    later = [replace(EXTREMAL, id="rq-2"), LOOKUP]
+    again, _ = backend.predictions_for(("TRANSPOSE", 1), later)
+    assert again == {"rq-2": EXTREMAL.question, "eq-1": LOOKUP.question}
+    assert _calls(counter) == 2
+
+
+def test_subprocess_backend_workers_give_same_entries(tmp_path):
+    results = []
+    for workers in (1, 2):
+        counter = tmp_path / f"calls{workers}"
+        backend = SubprocessBackend(_counting_command(counter), workers=workers)
+        results.append(backend.predictions_for((ORIGINAL, 0), THREE_QUESTIONS))
+        assert _calls(counter) == 3
+    assert results[0] == results[1]
+    assert results[0][0] == {f"q{i}": f"question {i % 3}" for i in range(9)}
+
+
+def test_subprocess_backend_failure_is_not_memoized(tmp_path):
+    # The first call fails, every later one answers.
+    counter = tmp_path / "calls"
+    path = shlex.quote(str(counter))
+    backend = SubprocessBackend(f"echo call >> {path}; [ $(wc -l < {path}) -gt 1 ] && head -1")
+    twins = [LOOKUP, replace(LOOKUP, id="eq-2")]
+    entries, failures = backend.predictions_for((ORIGINAL, 0), twins)
+    assert entries == {"eq-1": None, "eq-2": None}
+    assert set(failures) == {"eq-1", "eq-2"} and _calls(counter) == 1
+    entries, failures = backend.predictions_for(("TRANSPOSE", 0), [LOOKUP])
+    assert failures == {} and entries == {"eq-1": LOOKUP.question}
+    assert _calls(counter) == 2
+
+
 # --- http backend -------------------------------------------------------------------
 
 
 class _Handler(BaseHTTPRequestHandler):
     seen = []
+    # Raw replies to send, first to last, before falling back to echoing the
+    # question in upper case.
+    replies = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).seen.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
-        reply = json.dumps({"answer": body["question"].upper()}).encode("utf-8")
+        if type(self).replies:
+            reply = type(self).replies.pop(0).encode("utf-8")
+        else:
+            reply = json.dumps({"answer": body["question"].upper()}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
@@ -205,11 +284,15 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     _Handler.seen = []
+    _Handler.replies = []
     yield f"http://127.0.0.1:{server.server_port}/predict"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -240,6 +323,103 @@ def test_http_backend_unreachable_records_failure():
     entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
     assert entries == {"eq-1": None}
     assert "eq-1" in failures
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        ('["x"]', "not a JSON object"),
+        ('"x"', "not a JSON object"),
+        ('{"answer": null}', "not a string or number"),
+        ('{"answer": ["x"]}', "not a string or number"),
+        ('{"label": "x"}', 'no "answer"'),
+        ("not json", "Expecting value"),
+    ],
+)
+def test_http_backend_hostile_reply_is_a_failure(http_server, reply, message):
+    _Handler.replies = [reply]
+    entries, failures = HttpBackend(http_server).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": None}
+    assert message in failures["eq-1"]
+
+
+def test_http_backend_numeric_answer_is_text(http_server):
+    _Handler.replies = ['{"answer": 4}']
+    entries, failures = HttpBackend(http_server).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": "4"} and failures == {}
+
+
+def test_http_backend_hostile_reply_does_not_abort_the_batch(http_server):
+    _Handler.replies = ['["x"]']
+    entries, failures = HttpBackend(http_server).predictions_for(
+        (ORIGINAL, 0), [LOOKUP, EXTREMAL]
+    )
+    assert entries == {"eq-1": None, "rq-1": EXTREMAL.question.upper()}
+    assert set(failures) == {"eq-1"}
+
+
+def test_http_backend_failure_is_not_memoized(http_server):
+    backend = HttpBackend(http_server)
+    _Handler.replies = ['{"answer": null}']
+    twins = [LOOKUP, replace(LOOKUP, id="eq-2")]
+    entries, failures = backend.predictions_for((ORIGINAL, 0), twins)
+    assert entries == {"eq-1": None, "eq-2": None}
+    assert set(failures) == {"eq-1", "eq-2"}
+    assert len(_Handler.seen) == 1
+    entries, failures = backend.predictions_for(("TRANSPOSE", 0), [LOOKUP])
+    assert entries == {"eq-1": LOOKUP.question.upper()} and failures == {}
+    assert len(_Handler.seen) == 2
+
+
+def test_http_backend_sends_each_payload_once(http_server):
+    backend = HttpBackend(http_server)
+    entries, failures = backend.predictions_for(
+        (ORIGINAL, 0), [LOOKUP, replace(LOOKUP, id="eq-2"), EXTREMAL]
+    )
+    assert failures == {}
+    assert entries == {
+        "eq-1": LOOKUP.question.upper(),
+        "eq-2": LOOKUP.question.upper(),
+        "rq-1": EXTREMAL.question.upper(),
+    }
+    assert len(_Handler.seen) == 2
+    later = [replace(EXTREMAL, id="rq-2"), LOOKUP]
+    again, _ = backend.predictions_for(("TRANSPOSE", 1), later)
+    assert again == {"rq-2": EXTREMAL.question.upper(), "eq-1": LOOKUP.question.upper()}
+    assert len(_Handler.seen) == 2
+
+
+def test_http_backend_workers_give_same_entries(http_server):
+    one = HttpBackend(http_server, workers=1).predictions_for((ORIGINAL, 0), THREE_QUESTIONS)
+    two = HttpBackend(http_server, workers=2).predictions_for((ORIGINAL, 0), THREE_QUESTIONS)
+    assert one == two
+    assert len(_Handler.seen) == 6
+
+
+def test_run_pipeline_over_http_asks_each_distinct_input_once(http_server, tmp_path):
+    instances = build_toy_dataset()[:30]
+    dataset = tmp_path / "toy.jsonl"
+    save_dataset(instances, dataset)
+    kinds, seeds = (TRANSPOSE, REMOVE_TABLE), (0, 1, 2)
+    inputs = {(i.question, serialize(i.table)) for i in instances}
+    asked = len(instances)
+    for kind in kinds:
+        for seed in seeds:
+            for inst in instances:
+                try:
+                    perturbed, _ = apply_perturbation(inst, kind, seed)
+                except PerturbSkip:
+                    continue
+                inputs.add((perturbed.question, serialize(perturbed.table)))
+                asked += 1
+    config = RunConfig(
+        dataset=dataset, kinds=kinds, seeds=seeds, backend=http_server, workers=2
+    )
+    report = run_pipeline(config)
+    assert report["original"]["failures"] == {}
+    assert len(_Handler.seen) == len(inputs) < asked
+    sent = {(r["body"]["question"], r["body"]["table_serialized"]) for r in _Handler.seen}
+    assert sent == inputs
 
 
 # --- spec parsing ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Rule-based and combined question-type classification."""
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from freb.backends import HTTP_TOKEN_ENV
 from freb.classify import (
     ComparativeLexicon,
     SubprocessSecondary,
@@ -11,7 +14,9 @@ from freb.classify import (
     classify_rule_based,
 )
 from freb.core import EQ, RQ, QAInstance, Table
+from freb.cli import main
 from freb.errors import BackendError
+from freb.ingest import read_records
 
 LEXICON = ComparativeLexicon()
 
@@ -139,3 +144,51 @@ def test_subprocess_secondary_failure_raises():
     secondary = SubprocessSecondary("exit 3", retries=1)
     with pytest.raises(BackendError, match="exited 3"):
         secondary("q", TABLE, ("x",))
+
+
+class _LabelHandler(BaseHTTPRequestHandler):
+    auth = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).auth.append(self.headers.get("Authorization"))
+        reply = json.dumps({"label": "EQ"}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_cli_secondary_url_forwards_token(tmp_path, toy_path, monkeypatch):
+    server = HTTPServer(("127.0.0.1", 0), _LabelHandler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    _LabelHandler.auth = []
+    monkeypatch.setenv(HTTP_TOKEN_ENV, "sesame")
+    out = tmp_path / "labeled.jsonl"
+    try:
+        code = main(
+            [
+                "classify",
+                "--in",
+                str(toy_path),
+                "--out",
+                str(out),
+                "--combined",
+                "--secondary-url",
+                f"http://127.0.0.1:{server.server_port}/label",
+            ]
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert code == 0
+    assert _LabelHandler.auth and set(_LabelHandler.auth) == {"Bearer sesame"}
+    assert "UNKNOWN" not in {r["question_type"] for r in read_records(out)}

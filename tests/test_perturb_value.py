@@ -1,8 +1,12 @@
 """Aggregation oracle, table projection and answer-change/no-change edits."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freb.core import (
     ARGMAX,
@@ -100,6 +104,54 @@ def test_oracle_count_normalizes_matches():
 def test_oracle_sum_avg():
     assert evaluate_aggregation(SCORES, _desc(SUM, value_col=2)) == "82"
     assert evaluate_aggregation(SCORES, _desc(AVG, value_col=2)) == "20.5"
+
+
+def _column(*cells):
+    return Table.from_values(["V"], [[c] for c in cells])
+
+
+def test_oracle_sum_diff_are_exact_past_28_digits():
+    wide = "1" * 30
+    assert evaluate_aggregation(_column(wide, "1"), _desc(SUM, value_col=0)) == "1" * 29 + "2"
+    d = _desc(DIFF, value_col=0, operands=(CellCoord(0, 0), CellCoord(1, 0)))
+    assert evaluate_aggregation(_column(wide, "1"), d) == "1" * 29 + "0"
+    assert evaluate_aggregation(_column("1e40", "1e-40"), d) == "9" * 40 + "." + "9" * 40
+
+
+def test_oracle_avg_is_exact_when_the_mean_terminates():
+    table = _column("1" * 30, "0", "0", "0", "0")
+    assert evaluate_aggregation(table, _desc(AVG, value_col=0)) == "2" * 29 + ".2"
+    assert evaluate_aggregation(_column("1" * 30, "0"), _desc(AVG, value_col=0)) == "5" * 29 + ".5"
+
+
+def test_oracle_avg_rounds_a_non_terminating_mean_to_28_digits():
+    assert evaluate_aggregation(_column("1", "0", "0"), _desc(AVG, value_col=0)) == (
+        "0." + "3" * 28
+    )
+    assert evaluate_aggregation(_column("2", "0", "0"), _desc(AVG, value_col=0)) == (
+        "0." + "6" * 27 + "7"
+    )
+
+
+def test_oracle_refuses_values_too_far_apart_to_add_exactly():
+    with pytest.raises(NonNumericCell, match="too far apart"):
+        evaluate_aggregation(_column("1e99999", "1"), _desc(SUM, value_col=0))
+
+
+_CELL = st.decimals(allow_nan=False, allow_infinity=False, places=3, min_value=-(10**35), max_value=10**35)
+
+
+@given(st.lists(_CELL, min_size=1, max_size=8))
+def test_oracle_sum_avg_match_exact_fractions(values):
+    table = _column(*(str(v) for v in values))
+    total = sum(Fraction(v) for v in values)
+    assert Fraction(Decimal(evaluate_aggregation(table, _desc(SUM, value_col=0)))) == total
+    mean = total / len(values)
+    got = Fraction(Decimal(evaluate_aggregation(table, _desc(AVG, value_col=0))))
+    if len(values) in (1, 2, 4, 5, 8):
+        assert got == mean
+    else:
+        assert abs(got - mean) <= abs(mean) * Fraction(1, 10**27)
 
 
 def test_oracle_diff_signed():
