@@ -168,17 +168,16 @@ class SubprocessSecondary:
                 result = subprocess.run(
                     self.command,
                     shell=True,
-                    input=payload,
+                    input=payload.encode("utf-8"),
                     capture_output=True,
-                    text=True,
                     timeout=self.timeout,
                 )
                 if result.returncode != 0:
                     raise BackendError(
                         f"secondary command exited {result.returncode}: "
-                        f"{result.stderr.strip()}"
+                        f"{result.stderr.decode('utf-8', 'replace').strip()}"
                     )
-                return result.stdout.strip()
+                return result.stdout.decode("utf-8", "replace").strip()
             except (subprocess.TimeoutExpired, BackendError) as exc:
                 last_error = exc
         raise BackendError(f"secondary command failed: {last_error}")

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .backends import HTTP_TOKEN_ENV
@@ -24,7 +25,7 @@ from .classify import (
     classify_rule_based,
 )
 from .core import EQ, RQ, UNKNOWN
-from .errors import BackendError, ConfigError, DatasetError, PerturbSkip
+from .errors import BackendError, ConfigError, DatasetError
 from .ingest import (
     PositionalWordList,
     filter_positional_questions,
@@ -32,10 +33,11 @@ from .ingest import (
     load_dataset,
     write_records,
 )
-from .perturb import apply_perturbation
+from .perturb import iter_conditions
 from .pipeline import (
-    DEFAULT_BACKEND,
+    CONFIG_CASTS,
     RunConfig,
+    check_timeout_retries,
     parse_config_file,
     parse_kinds,
     parse_seeds,
@@ -109,35 +111,24 @@ def _cmd_perturb(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     skipped: list[dict] = []
-    for kind in kinds:
-        for seed in seeds:
-            records = []
-            for inst in instances:
-                try:
-                    perturbed, rec = apply_perturbation(inst, kind, seed)
-                except PerturbSkip as exc:
-                    skipped.append(
-                        {
-                            "id": inst.id,
-                            "kind": kind.lower(),
-                            "seed": seed,
-                            "reason": type(exc).__name__,
-                            "detail": str(exc),
-                        }
-                    )
-                    continue
-                record = instance_to_record(perturbed)
-                record["provenance"] = {
-                    "kind": kind.lower(),
-                    "global_seed": seed,
-                    "derived_seed": rec.seed,
-                    "source_id": rec.source_id,
-                    "params": rec.params,
-                }
-                records.append(record)
-            path = outdir / f"{kind.lower()}.seed{seed}.jsonl"
-            write_records(records, path)
-            print(f"{path}: {len(records)} instances")
+    for condition in iter_conditions(instances, kinds, seeds):
+        kind, seed = condition.kind.lower(), condition.seed
+        records = []
+        for perturbed, rec in condition.perturbed:
+            record = instance_to_record(perturbed)
+            record["provenance"] = {
+                "kind": kind,
+                "global_seed": seed,
+                "derived_seed": rec.seed,
+                "source_id": rec.source_id,
+                "params": rec.params,
+            }
+            records.append(record)
+        path = outdir / f"{kind}.seed{seed}.jsonl"
+        write_records(records, path)
+        print(f"{path}: {len(records)} instances")
+        # Keys in the order id, kind, seed, reason, detail.
+        skipped.extend({"id": s["id"], "kind": kind, "seed": seed, **s} for s in condition.skipped)
     if skipped:
         write_records(skipped, outdir / "skipped.jsonl")
         print(f"{outdir / 'skipped.jsonl'}: {len(skipped)} skipped")
@@ -158,6 +149,7 @@ def _make_secondary(args):
 
 
 def _cmd_classify(args) -> int:
+    check_timeout_retries(args.timeout, args.retries)
     instances = load_dataset(args.input)
     lexicon = ComparativeLexicon.from_file(args.lexicon) if args.lexicon else ComparativeLexicon()
 
@@ -194,36 +186,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # A flag that is left out (or empty) keeps the config file's value.
+    given = {
+        key: CONFIG_CASTS[key](getattr(args, key))
+        for key in CONFIG_CASTS
+        if getattr(args, key) not in (None, "")
+    }
     if args.config:
-        config = parse_config_file(args.config)
+        config = replace(parse_config_file(args.config), **given)
     elif args.dataset and args.kinds:
-        config = RunConfig(dataset=Path(args.dataset), kinds=parse_kinds(args.kinds))
+        config = RunConfig(**given)
     else:
         raise ConfigError("evaluate needs --config, or both --dataset and --kinds")
-
-    overrides: dict = {}
-    if args.config and args.dataset:
-        overrides["dataset"] = Path(args.dataset)
-    if args.config and args.kinds:
-        overrides["kinds"] = parse_kinds(args.kinds)
-    if args.seeds:
-        overrides["seeds"] = parse_seeds(args.seeds)
-    if args.backend:
-        overrides["backend"] = args.backend
-    if args.max_tokens is not None:
-        overrides["max_tokens"] = args.max_tokens
-    if args.lexicon:
-        overrides["lexicon"] = Path(args.lexicon)
-    if args.timeout is not None:
-        overrides["timeout"] = args.timeout
-    if args.retries is not None:
-        overrides["retries"] = args.retries
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
 
     report = run_pipeline(config)
     text = report_to_json(report)

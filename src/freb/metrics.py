@@ -75,10 +75,7 @@ def em(preds: PredictionSet, gold: Iterable[QAInstance]) -> float:
     if not answers:
         raise ValueError("cannot score an empty dataset")
     _check_ids(preds.entries, set(answers))
-    hits = sum(
-        1 for iid, golds in answers.items() if is_correct(preds.entries.get(iid), golds)
-    )
-    return hits / len(answers)
+    return sum(_correctness(preds, answers).values()) / len(answers)
 
 
 def emd(em_perturbed: float, em_original: float) -> float:
@@ -110,23 +107,24 @@ def vp(
 ) -> VpResult:
     """Variation percentage: fraction of instances whose correctness flipped
     between the two prediction sets."""
+    return vp_from_correctness(*_paired_correctness(preds_before, preds_after, gold))
+
+
+def _paired_correctness(
+    preds_before: PredictionSet, preds_after: PredictionSet, gold: Iterable[QAInstance]
+) -> tuple[dict[str, bool], dict[str, bool]]:
     answers = _gold_map(gold)
     if not answers:
         raise ValueError("cannot score an empty dataset")
     if set(preds_before.entries) != set(preds_after.entries):
         diff = sorted(set(preds_before.entries) ^ set(preds_after.entries))
         raise ValueError(f"prediction sets cover different instance ids: {diff}")
-    gold_ids = set(answers)
-    _check_ids(preds_before.entries, gold_ids)
-    before = {
-        iid: is_correct(preds_before.entries.get(iid), golds)
-        for iid, golds in answers.items()
-    }
-    after = {
-        iid: is_correct(preds_after.entries.get(iid), golds)
-        for iid, golds in answers.items()
-    }
-    return vp_from_correctness(before, after)
+    _check_ids(preds_before.entries, set(answers))
+    return _correctness(preds_before, answers), _correctness(preds_after, answers)
+
+
+def _correctness(preds: PredictionSet, answers: Mapping[str, tuple[str, ...]]) -> dict[str, bool]:
+    return {iid: is_correct(preds.entries.get(iid), golds) for iid, golds in answers.items()}
 
 
 def aggregate_seeds(values: Iterable[float]) -> tuple[float, float]:
@@ -137,6 +135,21 @@ def aggregate_seeds(values: Iterable[float]) -> tuple[float, float]:
     mean = statistics.fmean(data)
     std = statistics.stdev(data) if len(data) > 1 else 0.0
     return mean, std
+
+
+def gap_from_correctness(
+    before: Mapping[str, bool], after: Mapping[str, bool], compare_ids: Iterable[str]
+) -> GapResult:
+    """VP over the instances in ``compare_ids`` (questions with comparative
+    cues) and over the rest, on precomputed per-instance correctness."""
+    compare = set(compare_ids)
+
+    def split(ids: set[str]) -> VpResult | None:
+        if not ids:
+            return None
+        return vp_from_correctness({i: before[i] for i in ids}, {i: after[i] for i in ids})
+
+    return GapResult(compare=split(compare & set(before)), noncompare=split(set(before) - compare))
 
 
 def vp_gap(
@@ -150,23 +163,6 @@ def vp_gap(
     wobble when cells must be compared."""
     lexicon = lexicon or ComparativeLexicon()
     instances = list(gold)
-    compare = [i for i in instances if lexicon.question_has_cue(i.question)]
-    noncompare = [i for i in instances if not lexicon.question_has_cue(i.question)]
-
-    def split_vp(subset: list[QAInstance]) -> VpResult | None:
-        if not subset:
-            return None
-        ids = {i.id for i in subset}
-        before = PredictionSet(
-            preds_before.model_id,
-            preds_before.condition,
-            {k: v for k, v in preds_before.entries.items() if k in ids},
-        )
-        after = PredictionSet(
-            preds_after.model_id,
-            preds_after.condition,
-            {k: v for k, v in preds_after.entries.items() if k in ids},
-        )
-        return vp(before, after, subset)
-
-    return GapResult(compare=split_vp(compare), noncompare=split_vp(noncompare))
+    before, after = _paired_correctness(preds_before, preds_after, instances)
+    compare = {i.id for i in instances if lexicon.question_has_cue(i.question)}
+    return gap_from_correctness(before, after, compare)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..core import QAInstance, Table, normalize_answer
+from ..core import Cell, QAInstance, Table, normalize_answer
 from ..errors import NoTargetFound, TooFewRows
 from ..rng import Rng
 
@@ -228,20 +228,21 @@ def transpose(table: Table, index_headers: bool = True) -> tuple[Table, Perturba
     first row of the rotated grid is promoted to headers instead.
     """
     n_rows, n_cols = table.n_rows, table.n_cols
+    # Cells move, so they are reused rather than parsed again.
     rotated = [
-        [table.headers[c]] + [table.rows[r][c].raw for r in range(n_rows)]
+        (Cell(table.headers[c]),) + tuple(table.rows[r][c] for r in range(n_rows))
         for c in range(n_cols)
     ]
     if index_headers:
-        headers = [str(i) for i in range(n_rows + 1)]
+        headers = tuple(str(i) for i in range(n_rows + 1))
         grid = rotated
     else:
-        headers = rotated[0] if rotated else []
+        headers = tuple(cell.raw for cell in rotated[0]) if rotated else ()
         grid = rotated[1:]
     record = PerturbationRecord(
         TRANSPOSE, 0, {"index_headers": index_headers, "original_shape": [n_rows, n_cols]}
     )
-    return Table.from_values(headers, grid), record
+    return Table(headers=headers, rows=tuple(grid)), record
 
 
 def replay_table(table: Table, record: PerturbationRecord) -> Table:

@@ -4,16 +4,13 @@ The oracle (``evaluate_aggregation``) computes the answer an aggregation
 descriptor implies, so every generated edit can be re-checked mechanically:
 answer-changing (AC) edits must flip the oracle's answer, answer-preserving
 (NC) edits must not.  ``shorten`` projects a table down to the rows and
-columns the descriptor actually reads, and ``import_annotated`` ingests
-externally produced edit files under the same checks.
+columns the descriptor actually reads.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact, localcontext
-from pathlib import Path
 
 from ..core import (
     ARGMAX,
@@ -24,6 +21,7 @@ from ..core import (
     DIFF,
     SUM,
     AggregationDescriptor,
+    Cell,
     CellCoord,
     QAInstance,
     Table,
@@ -32,13 +30,11 @@ from ..core import (
 )
 from ..errors import (
     CannotPerturb,
-    DatasetError,
     MissingAnnotation,
     NonNumericCell,
     TieDetected,
     UnsupportedKind,
 )
-from ..ingest import instance_from_record
 from ..rng import Rng
 from .structure import PerturbationRecord
 
@@ -236,18 +232,19 @@ def shorten(instance: QAInstance) -> tuple[ShortenedTable, PerturbationRecord]:
 
 
 def apply_edits(table: Table, edits: list[ValueEdit]) -> Table:
-    """Value edits first, then row removals from the bottom up."""
-    grid = [[cell.raw for cell in row] for row in table.rows]
+    """Value edits first, then row removals from the bottom up; cells no
+    edit touches are shared with ``table``, not parsed again."""
+    grid = [list(row) for row in table.rows]
     for e in edits:
         if e.edit_class != ROW_REMOVAL:
-            grid[e.coord.row][e.coord.col] = e.new
+            grid[e.coord.row][e.coord.col] = Cell(e.new)
     for e in sorted(
         (e for e in edits if e.edit_class == ROW_REMOVAL),
         key=lambda e: e.coord.row,
         reverse=True,
     ):
         del grid[e.coord.row]
-    return Table.from_values(table.headers, grid)
+    return Table(headers=table.headers, rows=tuple(tuple(row) for row in grid))
 
 
 def _column_values(table: Table, col: int) -> list[Decimal]:
@@ -406,103 +403,29 @@ def modify_answer_change(
 ) -> tuple[Table, list[ValueEdit], str]:
     """Edit at most two cells so the oracle's answer changes; the new answer
     is re-derived by running the oracle on the edited table."""
-    original = evaluate_aggregation(table, descriptor)
-    for _ in range(_MAX_ATTEMPTS):
-        edits = _ac_candidate(table, descriptor, rng)
-        edited = apply_edits(table, edits)
-        try:
-            new = evaluate_aggregation(edited, descriptor)
-        except TieDetected:
-            continue
-        if normalize_answer(new) != normalize_answer(original):
-            return edited, edits, new
-    raise CannotPerturb(
-        f"could not change the {descriptor.kind} answer in {_MAX_ATTEMPTS} attempts"
-    )
+    return _search_edits(table, descriptor, rng, _ac_candidate, answer_changes=True)
 
 
 def modify_no_change(
     table: Table, descriptor: AggregationDescriptor, rng: Rng
 ) -> tuple[Table, list[ValueEdit]]:
     """Edit at most two cells while provably keeping the oracle's answer."""
+    edited, edits, _ = _search_edits(table, descriptor, rng, _nc_candidate, answer_changes=False)
+    return edited, edits
+
+
+def _search_edits(table, descriptor, rng, candidate, answer_changes: bool):
+    """Draw up to _MAX_ATTEMPTS candidate edits until one changes (or keeps)
+    the oracle's answer; returns (edited table, edits, new answer)."""
     original = evaluate_aggregation(table, descriptor)
     for _ in range(_MAX_ATTEMPTS):
-        edits = _nc_candidate(table, descriptor, rng)
+        edits = candidate(table, descriptor, rng)
         edited = apply_edits(table, edits)
         try:
             new = evaluate_aggregation(edited, descriptor)
         except TieDetected:
             continue
-        if normalize_answer(new) == normalize_answer(original):
-            return edited, edits
-    raise CannotPerturb(
-        f"could not keep the {descriptor.kind} answer stable in {_MAX_ATTEMPTS} attempts"
-    )
-
-
-@dataclass(frozen=True)
-class ImportedRecord:
-    """One externally annotated value perturbation, oracle-checked on load."""
-
-    instance: QAInstance
-    edits: tuple[ValueEdit, ...]
-    expected_answer: str
-    kind: str  # VALUE_AC | VALUE_NC
-    status: str  # ok | inconsistent | unchecked
-    detail: str = ""
-
-
-def import_annotated(path: str | Path) -> list[ImportedRecord]:
-    """Load instance-plus-edits records, checking each against the oracle.
-
-    Records whose edits contradict their declared kind (an AC edit that does
-    not change the oracle answer, or an NC edit that does) come back with
-    status "inconsistent"; records without a descriptor are "unchecked".
-    """
-    path = Path(path)
-    imported = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                kind = obj["kind"]
-                expected = str(obj["expected_answer"])
-                edits = tuple(ValueEdit.from_json(e) for e in obj["edits"])
-                instance = instance_from_record(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: bad record: {exc}") from exc
-            if kind not in (VALUE_AC, VALUE_NC):
-                raise DatasetError(f"{path}: line {lineno}: unknown kind {kind!r}")
-            if not 1 <= len(edits) <= 2:
-                raise DatasetError(
-                    f"{path}: line {lineno}: expected 1-2 edits, got {len(edits)}"
-                )
-            status, detail = _check_imported(instance, edits, expected, kind)
-            imported.append(ImportedRecord(instance, edits, expected, kind, status, detail))
-    return imported
-
-
-def _check_imported(
-    instance: QAInstance, edits: tuple[ValueEdit, ...], expected: str, kind: str
-) -> tuple[str, str]:
-    if instance.aggregation is None:
-        return "unchecked", "no aggregation descriptor"
-    try:
-        before = evaluate_aggregation(instance.table, instance.aggregation)
-        after = evaluate_aggregation(apply_edits(instance.table, list(edits)), instance.aggregation)
-    except (NonNumericCell, TieDetected, MissingAnnotation) as exc:
-        return "inconsistent", f"oracle failed: {exc}"
-    changed = normalize_answer(after) != normalize_answer(before)
-    if kind == VALUE_AC and not changed:
-        return "inconsistent", "edits did not change the oracle answer"
-    if kind == VALUE_NC and changed:
-        return "inconsistent", f"edits changed the oracle answer to {after!r}"
-    if normalize_answer(after) != normalize_answer(expected):
-        return "inconsistent", f"oracle answer {after!r} != expected {expected!r}"
-    return "ok", ""
+        if (normalize_answer(new) != normalize_answer(original)) == answer_changes:
+            return edited, edits, new
+    goal = "change the {} answer" if answer_changes else "keep the {} answer stable"
+    raise CannotPerturb(f"could not {goal.format(descriptor.kind)} in {_MAX_ATTEMPTS} attempts")

@@ -10,30 +10,32 @@ keys — identical configs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import parse_backend
 from .classify import ComparativeLexicon
-from .core import QAInstance
-from .errors import ConfigError, DatasetError, PerturbSkip
+from .errors import ConfigError, DatasetError
 from .ingest import load_dataset
 from .metrics import (
     ORIGINAL,
     PredictionSet,
+    VpResult,
     aggregate_seeds,
     em,
+    emd,
+    gap_from_correctness,
     is_correct,
     vp_from_correctness,
 )
 from .perturb import (
     ALL_KINDS,
-    RELEVANCE_KINDS,
+    FAMILY_KINDS,
     REMOVE_RELEVANT,
     REMOVE_TABLE,
-    STRUCTURE_KINDS,
-    VALUE_KINDS,
-    apply_perturbation,
+    Condition,
+    iter_conditions,
     kind_from_name,
 )
 from .serialize import length_filter
@@ -41,12 +43,7 @@ from .serialize import length_filter
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 DEFAULT_BACKEND = "reference:faithful_oracle"
 
-KIND_GROUPS = {
-    "all": ALL_KINDS,
-    "structure": STRUCTURE_KINDS,
-    "relevance": RELEVANCE_KINDS,
-    "value": VALUE_KINDS,
-}
+KIND_GROUPS = {"all": ALL_KINDS, **FAMILY_KINDS}
 
 
 @dataclass(frozen=True)
@@ -61,6 +58,18 @@ class RunConfig:
     retries: int = 0
     workers: int = 1
 
+    def __post_init__(self):
+        check_timeout_retries(self.timeout, self.retries)
+
+
+def check_timeout_retries(timeout: float, retries: int) -> None:
+    """A model or classifier call needs a positive, finite timeout in seconds
+    and a non-negative retry count; anything else is a ConfigError."""
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ConfigError(f"timeout must be a positive number of seconds, got {timeout}")
+    if retries < 0:
+        raise ConfigError(f"retries must be >= 0, got {retries}")
+
 
 def parse_kinds(text: str) -> tuple[str, ...]:
     """Comma-separated kind names; the group aliases all/structure/relevance/
@@ -70,20 +79,13 @@ def parse_kinds(text: str) -> tuple[str, ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if chunk.lower() in KIND_GROUPS:
-            for kind in KIND_GROUPS[chunk.lower()]:
-                if kind not in kinds:
-                    kinds.append(kind)
-            continue
         try:
-            kind = kind_from_name(chunk)
+            kinds.extend(KIND_GROUPS.get(chunk.lower()) or [kind_from_name(chunk)])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if kind not in kinds:
-            kinds.append(kind)
     if not kinds:
         raise ConfigError("no perturbation kinds given")
-    return tuple(kinds)
+    return tuple(dict.fromkeys(kinds))
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
@@ -103,17 +105,20 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
-_CONFIG_KEYS = (
-    "dataset",
-    "kinds",
-    "seeds",
-    "backend",
-    "max_tokens",
-    "lexicon",
-    "timeout",
-    "retries",
-    "workers",
-)
+# How each config value (a config-file line or an evaluate flag) is read; the
+# keys are RunConfig's fields, and RunConfig supplies the defaults of keys
+# left out.
+CONFIG_CASTS = {
+    "dataset": Path,
+    "kinds": parse_kinds,
+    "seeds": parse_seeds,
+    "backend": str,
+    "max_tokens": int,
+    "lexicon": Path,
+    "timeout": float,
+    "retries": int,
+    "workers": int,
+}
 
 
 def parse_config_file(path: str | Path) -> RunConfig:
@@ -130,36 +135,26 @@ def parse_config_file(path: str | Path) -> RunConfig:
         if not sep:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_CASTS:
             raise ConfigError(
                 f"{path}: line {lineno}: unknown key {key!r}; known keys: "
-                + ", ".join(_CONFIG_KEYS)
+                + ", ".join(CONFIG_CASTS)
             )
         values[key] = value.strip()
-    if "dataset" not in values:
-        raise ConfigError(f"{path}: missing required key 'dataset'")
-    if "kinds" not in values:
-        raise ConfigError(f"{path}: missing required key 'kinds'")
-
-    def number(key: str, cast, default):
+    for key in ("dataset", "kinds"):
         if key not in values:
-            return default
-        try:
-            return cast(values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {values[key]!r}") from exc
+            raise ConfigError(f"{path}: missing required key {key!r}")
 
-    return RunConfig(
-        dataset=Path(values["dataset"]),
-        kinds=parse_kinds(values["kinds"]),
-        seeds=parse_seeds(values["seeds"]) if "seeds" in values else DEFAULT_SEEDS,
-        backend=values.get("backend", DEFAULT_BACKEND),
-        max_tokens=number("max_tokens", int, None),
-        lexicon=Path(values["lexicon"]) if "lexicon" in values else None,
-        timeout=number("timeout", float, 30.0),
-        retries=number("retries", int, 0),
-        workers=number("workers", int, 1),
-    )
+    fields = {}
+    for key, value in values.items():
+        try:
+            fields[key] = CONFIG_CASTS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad value for {key}: {value!r}") from exc
+    try:
+        return RunConfig(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -190,12 +185,10 @@ def run_pipeline(config: RunConfig) -> dict:
         inst.id: is_correct(original_entries.get(inst.id), inst.answers) for inst in kept
     }
 
-    conditions = []
-    for kind in config.kinds:
-        for seed in config.seeds:
-            conditions.append(
-                _evaluate_condition(backend, kept, kind, seed, original_correct, lexicon)
-            )
+    conditions = [
+        _score_condition(backend, condition, original_correct, lexicon)
+        for condition in iter_conditions(kept, config.kinds, config.seeds)
+    ]
 
     report = {
         "model": backend.model_id,
@@ -230,90 +223,60 @@ def run_pipeline(config: RunConfig) -> dict:
     return report
 
 
-def _evaluate_condition(backend, kept, kind, seed, original_correct, lexicon) -> dict:
-    perturbed: list[QAInstance] = []
-    skipped: list[dict] = []
-    for inst in kept:
-        try:
-            result, _ = apply_perturbation(inst, kind, seed)
-            perturbed.append(result)
-        except PerturbSkip as exc:
-            skipped.append(
-                {"id": inst.id, "reason": type(exc).__name__, "detail": str(exc)}
-            )
+# The score keys of a condition and of a kind summary, all None when no
+# instance was perturbed.
+_CONDITION_SCORES = ("em", "em_original_paired", "emd", "vp", "vp_pct", "c2w", "w2c", "gap")
+_SUMMARY_SCORES = tuple(
+    f"{score}_{stat}" for score in ("em", "emd", "vp", "vp_pct", "gap") for stat in ("mean", "std")
+)
 
+
+def _score_condition(backend, condition: Condition, original_correct, lexicon) -> dict:
+    perturbed = [inst for inst, _ in condition.perturbed]
     entry: dict = {
-        "kind": kind.lower(),
-        "seed": seed,
+        "kind": condition.kind.lower(),
+        "seed": condition.seed,
         "n": len(perturbed),
-        "skipped": skipped,
+        "skipped": condition.skipped,
+        "failures": {},
     }
     if not perturbed:
-        entry.update(
-            {
-                "failures": {},
-                "em": None,
-                "em_original_paired": None,
-                "emd": None,
-                "vp": None,
-                "vp_pct": None,
-                "c2w": None,
-                "w2c": None,
-                "gap": None,
-            }
-        )
+        entry.update(dict.fromkeys(_CONDITION_SCORES))
         return entry
 
-    entries, failures = backend.predictions_for((kind, seed), perturbed)
+    entries, failures = backend.predictions_for((condition.kind, condition.seed), perturbed)
     after_correct = {
         inst.id: is_correct(entries.get(inst.id), inst.answers) for inst in perturbed
     }
     before_correct = {inst.id: original_correct[inst.id] for inst in perturbed}
+    compare_ids = {inst.id for inst in perturbed if lexicon.question_has_cue(inst.question)}
 
     em_perturbed = sum(after_correct.values()) / len(perturbed)
     em_before = sum(before_correct.values()) / len(perturbed)
-    flips = vp_from_correctness(before_correct, after_correct)
-
+    gap = gap_from_correctness(before_correct, after_correct, compare_ids)
     entry.update(
-        {
-            "failures": dict(sorted(failures.items())),
-            "em": em_perturbed,
-            "em_original_paired": em_before,
-            "emd": em_perturbed - em_before,
-            "vp": flips.vp,
-            "vp_pct": 100.0 * flips.vp,
-            "c2w": flips.c2w,
-            "w2c": flips.w2c,
-            "gap": _gap_entry(perturbed, before_correct, after_correct, lexicon),
-        }
+        _flips(vp_from_correctness(before_correct, after_correct)),
+        failures=dict(sorted(failures.items())),
+        em=em_perturbed,
+        em_original_paired=em_before,
+        emd=emd(em_perturbed, em_before),
+        gap={
+            "compare": None if gap.compare is None else _flips(gap.compare),
+            "noncompare": None if gap.noncompare is None else _flips(gap.noncompare),
+            "gap": gap.gap,
+        },
     )
     return entry
 
 
-def _gap_entry(perturbed, before_correct, after_correct, lexicon) -> dict:
-    compare_ids = {i.id for i in perturbed if lexicon.question_has_cue(i.question)}
-    noncompare_ids = {i.id for i in perturbed} - compare_ids
-
-    def split(ids: set[str]) -> dict | None:
-        if not ids:
-            return None
-        flips = vp_from_correctness(
-            {i: before_correct[i] for i in ids}, {i: after_correct[i] for i in ids}
-        )
-        return {
-            "vp": flips.vp,
-            "vp_pct": 100.0 * flips.vp,
-            "c2w": flips.c2w,
-            "w2c": flips.w2c,
-            "n": flips.n,
-        }
-
-    compare = split(compare_ids)
-    noncompare = split(noncompare_ids)
-    gap = None
-    if compare is not None and noncompare is not None:
-        gap = compare["vp"] - noncompare["vp"]
-    return {"compare": compare, "noncompare": noncompare, "gap": gap}
+def _flips(result: VpResult) -> dict:
+    return {
+        "vp": result.vp,
+        "vp_pct": 100.0 * result.vp,
+        "c2w": result.c2w,
+        "w2c": result.w2c,
+        "n": result.n,
+    }
 
 
 def _summarize_kind(kind: str, conditions: list[dict]) -> dict:
@@ -324,49 +287,21 @@ def _summarize_kind(kind: str, conditions: list[dict]) -> dict:
         "skipped_total": sum(
             len(c["skipped"]) for c in conditions if c["kind"] == kind.lower()
         ),
+        "n": max((c["n"] for c in mine), default=0),
+        **dict.fromkeys(_SUMMARY_SCORES),
     }
     if not mine:
-        summary.update(
-            {
-                "n": 0,
-                "em_mean": None,
-                "em_std": None,
-                "emd_mean": None,
-                "emd_std": None,
-                "vp_mean": None,
-                "vp_std": None,
-                "vp_pct_mean": None,
-                "vp_pct_std": None,
-                "gap_mean": None,
-                "gap_std": None,
-            }
-        )
         return summary
 
-    em_mean, em_std = aggregate_seeds([c["em"] for c in mine])
-    emd_mean, emd_std = aggregate_seeds([c["emd"] for c in mine])
-    vp_mean, vp_std = aggregate_seeds([c["vp"] for c in mine])
-    summary.update(
-        {
-            "n": max(c["n"] for c in mine),
-            "em_mean": em_mean,
-            "em_std": em_std,
-            "emd_mean": emd_mean,
-            "emd_std": emd_std,
-            "vp_mean": vp_mean,
-            "vp_std": vp_std,
-            "vp_pct_mean": 100.0 * vp_mean,
-            "vp_pct_std": 100.0 * vp_std,
-        }
-    )
-    gaps = [c["gap"]["gap"] for c in mine if c.get("gap")]
-    if gaps and all(g is not None for g in gaps):
-        gap_mean, gap_std = aggregate_seeds(gaps)
-        summary["gap_mean"] = gap_mean
-        summary["gap_std"] = gap_std
-    else:
-        summary["gap_mean"] = None
-        summary["gap_std"] = None
+    for score in ("em", "emd", "vp"):
+        summary[f"{score}_mean"], summary[f"{score}_std"] = aggregate_seeds(
+            [c[score] for c in mine]
+        )
+    summary["vp_pct_mean"] = 100.0 * summary["vp_mean"]
+    summary["vp_pct_std"] = 100.0 * summary["vp_std"]
+    gaps = [c["gap"]["gap"] for c in mine]
+    if all(g is not None for g in gaps):
+        summary["gap_mean"], summary["gap_std"] = aggregate_seeds(gaps)
     return summary
 
 

@@ -192,3 +192,27 @@ def test_cli_secondary_url_forwards_token(tmp_path, toy_path, monkeypatch):
     assert code == 0
     assert _LabelHandler.auth and set(_LabelHandler.auth) == {"Bearer sesame"}
     assert "UNKNOWN" not in {r["question_type"] for r in read_records(out)}
+
+
+def test_cli_undecodable_secondary_reply_is_unknown(tmp_path):
+    # "What did Brant score?" is EQ by the rules, so it goes to the
+    # secondary, whose reply is not UTF-8 and so not an EQ/RQ label.
+    from freb.ingest import save_dataset
+
+    data = tmp_path / "one.jsonl"
+    save_dataset([_inst("What did Brant score?", ["24"])], data)
+    out = tmp_path / "labeled.jsonl"
+    code = main(
+        [
+            "classify",
+            "--in",
+            str(data),
+            "--out",
+            str(out),
+            "--combined",
+            "--secondary-cmd",
+            "printf '\\377EQ\\n'",
+        ]
+    )
+    assert code == 0
+    assert [r["question_type"] for r in read_records(out)] == ["UNKNOWN"]

@@ -68,6 +68,35 @@ def test_perturb_is_deterministic(tmp_path, toy_path):
     assert file_a == file_b
 
 
+def test_perturb_and_evaluate_share_their_conditions(tmp_path, toy_path):
+    # Both commands walk the same kinds x seeds loop: each perturb file holds
+    # exactly the instances evaluate scores under that condition, and
+    # skipped.jsonl is the report's per-condition skips with kind and seed.
+    out = tmp_path / "perturbed"
+    report_path = tmp_path / "report.json"
+    args = ["--kinds", "all", "--seeds", "0,1"]
+    assert main(["perturb", "--in", str(toy_path), "--out", str(out), *args]) == 0
+    assert main(["evaluate", "--dataset", str(toy_path), "--out", str(report_path), *args]) == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    all_ids = [r["id"] for r in read_records(toy_path)]
+
+    assert len(report["conditions"]) == 14 * 2
+    expected_skips = []
+    for condition in report["conditions"]:
+        kind, seed = condition["kind"], condition["seed"]
+        skipped_ids = {s["id"] for s in condition["skipped"]}
+        ids = [r["id"] for r in read_records(out / f"{kind}.seed{seed}.jsonl")]
+        assert len(ids) == condition["n"]
+        assert ids == [i for i in all_ids if i not in skipped_ids]
+        expected_skips += [
+            {"id": s["id"], "kind": kind, "seed": seed, "reason": s["reason"], "detail": s["detail"]}
+            for s in condition["skipped"]
+        ]
+    lines = (out / "skipped.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == expected_skips
+    assert list(json.loads(lines[0])) == ["id", "kind", "seed", "reason", "detail"]
+
+
 def test_classify_rule_based(tmp_path, toy_path, capsys):
     out = tmp_path / "labeled.jsonl"
     assert main(["classify", "--in", str(toy_path), "--out", str(out)]) == 0
@@ -248,6 +277,24 @@ def test_exit_code_config_errors(tmp_path, toy_path, capsys):
     assert main(["perturb", "--in", "x"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--retries", "-1"], ["--timeout", "-1"], ["--timeout", "0"]],
+)
+def test_exit_code_bad_timeout_or_retries(tmp_path, toy_path, capsys, flags):
+    out = tmp_path / "out.json"
+    evaluate = ["evaluate", "--dataset", str(toy_path), "--kinds", "transpose", "--out", str(out)]
+    assert main([*evaluate, "--backend", "subprocess:echo x", *flags]) == 1
+    assert not out.exists()
+    labeled = tmp_path / "labeled.jsonl"
+    classify = ["classify", "--in", str(toy_path), "--out", str(labeled)]
+    assert main([*classify, "--combined", "--secondary-cmd", "echo EQ", *flags]) == 1
+    assert not labeled.exists()
+    err = capsys.readouterr().err
+    assert err.count("config error: ") == 2
+    assert ("retries must be >= 0" if "--retries" in flags else "timeout must be") in err
 
 
 def test_exit_code_data_errors(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freb.core import EQ, RQ, CellCoord, QAInstance, Table, normalize_answer
-from freb.errors import NoTargetFound, NotEligible, TooFewRows
+from freb.errors import NoTargetFound, NotEligible, TooFewRows, UnsupportedKind
 from freb.perturb import (
     SHUFFLE_COLS,
     SHUFFLE_ROWS,
@@ -222,7 +222,7 @@ def test_transpose_maps_cells():
     # (r, c) -> (c, r + 1)
     for r in range(t.n_rows):
         for c in range(t.n_cols):
-            assert out.rows[c][r + 1].raw == t.rows[r][c].raw
+            assert out.rows[c][r + 1] is t.rows[r][c]  # moved, not parsed again
 
 
 def test_transpose_without_index_headers():
@@ -295,6 +295,21 @@ def test_transpose_drops_cell_annotations():
     out, record = apply_perturbation(inst, TRANSPOSE, global_seed=0)
     assert out.relevant_cells is None
     assert record.params["annotations_dropped"] is True
+
+
+def test_kind_table_fixes_families_and_canonical_order():
+    from freb.perturb import ALL_KINDS, KINDS, RELEVANCE_KINDS, VALUE_KINDS
+
+    assert len(KINDS) == 14
+    assert ALL_KINDS == tuple(spec.name for spec in KINDS)
+    assert ALL_KINDS == STRUCTURE_KINDS + RELEVANCE_KINDS + VALUE_KINDS
+    assert STRUCTURE_KINDS[0] == SHUFFLE_ROWS and STRUCTURE_KINDS[-1] == TRANSPOSE
+    assert {spec.family for spec in KINDS} == {"structure", "relevance", "value"}
+
+
+def test_apply_perturbation_rejects_unknown_kind():
+    with pytest.raises(UnsupportedKind, match="unknown perturbation kind 'ROTATE'"):
+        apply_perturbation(_eq_instance(), "ROTATE", global_seed=0)
 
 
 def test_kind_from_name():

@@ -1,6 +1,5 @@
 """Aggregation oracle, table projection and answer-change/no-change edits."""
 
-import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ from freb.core import (
 )
 from freb.errors import (
     CannotPerturb,
-    DatasetError,
     MissingAnnotation,
     NonNumericCell,
     TieDetected,
@@ -38,13 +36,11 @@ from freb.perturb import (
     apply_edits,
     apply_perturbation,
     evaluate_aggregation,
-    import_annotated,
     modify_answer_change,
     modify_no_change,
     shorten,
 )
 from freb.rng import Rng
-from freb.ingest import instance_to_record
 
 SCORES = Table.from_values(
     ["Player", "Team", "Points"],
@@ -255,7 +251,11 @@ def test_apply_edits_value_and_removal():
     out = apply_edits(SCORES, edits)
     assert out.n_rows == 3
     assert out.rows[0][2].raw == "40"
+    assert out.rows[0][2].parsed_number == Decimal(40)
     assert [r[0].raw for r in out.rows] == ["Ayola", "Brant", "Dorn"]
+    # untouched cells are shared, not parsed again
+    assert out.rows[0][0] is SCORES.rows[0][0]
+    assert out.rows[2][2] is SCORES.rows[3][2]
 
 
 def test_apply_edits_two_removals_bottom_up():
@@ -412,109 +412,3 @@ def test_apply_value_ac_row_removal_remaps(toy_instances):
             out, record = apply_perturbation(inst, VALUE_AC, global_seed=seed)
             assert validate(out) == []
             assert evaluate_aggregation(out.table, out.aggregation) == out.answers[0]
-
-
-# --- annotated imports --------------------------------------------------------------
-
-
-def _write_import(tmp_path, rows):
-    path = tmp_path / "edits.jsonl"
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    return path
-
-
-def _import_record(kind, edits, expected):
-    record = instance_to_record(_rq_instance(_desc(SUM, value_col=2), ("82",)))
-    record["kind"] = kind
-    record["edits"] = edits
-    record["expected_answer"] = expected
-    return record
-
-
-def test_import_annotated_ok(tmp_path):
-    path = _write_import(
-        tmp_path,
-        [
-            _import_record(
-                VALUE_AC,
-                [{"row": 0, "col": 2, "old": "31", "new": "41", "class": "NUMERIC"}],
-                "92",
-            )
-        ],
-    )
-    records = import_annotated(path)
-    assert len(records) == 1
-    assert records[0].status == "ok"
-    assert records[0].kind == VALUE_AC
-
-
-def test_import_annotated_flags_inconsistent(tmp_path):
-    # declared NC but the edit changes the sum
-    path = _write_import(
-        tmp_path,
-        [
-            _import_record(
-                VALUE_NC,
-                [{"row": 0, "col": 2, "old": "31", "new": "41", "class": "NUMERIC"}],
-                "82",
-            )
-        ],
-    )
-    records = import_annotated(path)
-    assert records[0].status == "inconsistent"
-    assert "changed the oracle answer" in records[0].detail
-
-
-def test_import_annotated_flags_wrong_expected(tmp_path):
-    path = _write_import(
-        tmp_path,
-        [
-            _import_record(
-                VALUE_AC,
-                [{"row": 0, "col": 2, "old": "31", "new": "41", "class": "NUMERIC"}],
-                "999",
-            )
-        ],
-    )
-    assert import_annotated(path)[0].status == "inconsistent"
-
-
-def test_import_annotated_unchecked_without_descriptor(tmp_path):
-    record = _import_record(
-        VALUE_AC,
-        [{"row": 0, "col": 2, "old": "31", "new": "41", "class": "NUMERIC"}],
-        "92",
-    )
-    del record["aggregation"]
-    records = import_annotated(_write_import(tmp_path, [record]))
-    assert records[0].status == "unchecked"
-
-
-def test_import_annotated_rejects_bad_edit_count(tmp_path):
-    record = _import_record(VALUE_AC, [], "82")
-    with pytest.raises(DatasetError, match="line 1: expected 1-2 edits"):
-        import_annotated(_write_import(tmp_path, [record]))
-
-
-def test_import_annotated_cites_bad_json_line(tmp_path):
-    path = tmp_path / "edits.jsonl"
-    good = json.dumps(
-        _import_record(
-            VALUE_AC,
-            [{"row": 0, "col": 2, "old": "31", "new": "41", "class": "NUMERIC"}],
-            "92",
-        )
-    )
-    path.write_text(good + "\n{oops\n", encoding="utf-8")
-    with pytest.raises(DatasetError, match="line 2"):
-        import_annotated(path)
-
-
-def test_import_annotated_rejects_unknown_kind(tmp_path):
-    record = _import_record(
-        "VALUE_MAYBE",
-        [{"row": 0, "col": 2, "old": "31", "new": "41", "class": "NUMERIC"}],
-        "92",
-    )
-    with pytest.raises(DatasetError, match="unknown kind"):
-        import_annotated(_write_import(tmp_path, [record]))

@@ -1,5 +1,7 @@
 """Config parsing and the perturb-predict-score pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from freb.errors import ConfigError, DatasetError
@@ -119,6 +121,41 @@ def test_parse_config_file_bad_number(tmp_path, toy_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("retries", "-3", "retries must be >= 0"),
+        ("timeout", "0", "timeout must be a positive number"),
+        ("timeout", "-1", "timeout must be a positive number"),
+    ],
+)
+def test_parse_config_file_rejects_bad_timeout_or_retries(tmp_path, toy_path, key, value, message):
+    path = _write_config(
+        tmp_path, f"dataset = {toy_path}\nkinds = transpose\n{key} = {value}\n"
+    )
+    with pytest.raises(ConfigError, match=f"run.cfg: {message}"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"retries": -1},
+        {"timeout": 0.0},
+        {"timeout": -1.0},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+    ],
+)
+def test_run_config_rejects_bad_timeout_or_retries(toy_path, changes):
+    with pytest.raises(ConfigError):
+        RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), **changes)
+    # overrides go through the same check
+    config = RunConfig(dataset=toy_path, kinds=("TRANSPOSE",))
+    with pytest.raises(ConfigError):
+        replace(config, **changes)
+
+
 def test_parse_config_file_not_found(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config_file(tmp_path / "nope.cfg")
@@ -214,6 +251,65 @@ def test_pipeline_findings_not_flagged_for_faithful(faithful_report):
     finding = faithful_report["findings"]["table_independence"]
     assert finding["flagged"] is False
     assert finding["kinds"] == ["remove_table"]
+
+
+def test_pipeline_empty_condition_has_every_score_key(tmp_path, toy_instances):
+    # shuffle_rows applies to extraction questions only, so on reasoning
+    # questions alone its conditions are empty while remove_table's are not.
+    from freb.ingest import save_dataset
+
+    path = tmp_path / "rq.jsonl"
+    save_dataset([i for i in toy_instances if i.question_type == "RQ"], path)
+    report = run_pipeline(
+        RunConfig(dataset=path, kinds=("SHUFFLE_ROWS", "REMOVE_TABLE"), seeds=(0,))
+    )
+    empty, scored = report["conditions"]
+    assert (empty["n"], empty["failures"]) == (0, {})
+    assert scored["n"] > 0
+    assert empty.keys() == scored.keys()
+    for key in ("em", "em_original_paired", "emd", "vp", "vp_pct", "c2w", "w2c", "gap"):
+        assert empty[key] is None
+    empty_summary, scored_summary = report["kind_summaries"]
+    assert empty_summary.keys() == scored_summary.keys()
+    assert empty_summary["n"] == 0
+    scores = [k for k in scored_summary if k.endswith(("_mean", "_std"))]
+    assert len(scores) == 10
+    assert all(empty_summary[k] is None for k in scores)
+
+
+def test_pipeline_gap_matches_metrics(toy_path, toy_instances):
+    from freb.backends import LAST_ROW_BIASED, ReferenceBackend
+    from freb.metrics import ORIGINAL, PredictionSet, vp_gap
+    from freb.perturb import apply_perturbation
+
+    report = run_pipeline(
+        RunConfig(
+            dataset=toy_path,
+            kinds=("SHIFT_RELEVANT_ROWS",),
+            seeds=(1,),
+            backend="reference:last_row_biased",
+        )
+    )
+    condition = report["conditions"][0]
+    backend = ReferenceBackend(LAST_ROW_BIASED)
+    perturbed = [
+        apply_perturbation(i, "SHIFT_RELEVANT_ROWS", 1)[0]
+        for i in toy_instances
+        if i.relevant_cells
+    ]
+    ids = {i.id for i in perturbed}
+    before, _ = backend.predictions_for((ORIGINAL, 0), [i for i in toy_instances if i.id in ids])
+    after, _ = backend.predictions_for(("SHIFT_RELEVANT_ROWS", 1), perturbed)
+    # the perturbation keeps answers, so gold is the same on both sides
+    gap = vp_gap(
+        PredictionSet("m", (ORIGINAL, 0), before),
+        PredictionSet("m", ("SHIFT_RELEVANT_ROWS", 1), after),
+        perturbed,
+    )
+    assert condition["n"] == len(perturbed)
+    assert condition["gap"]["gap"] == gap.gap
+    assert condition["gap"]["compare"]["c2w"] == gap.compare.c2w
+    assert condition["gap"]["noncompare"]["n"] == gap.noncompare.n
 
 
 def test_pipeline_flags_constant_model(toy_path):
