@@ -118,7 +118,7 @@ def _answer_in_table(instance: QAInstance) -> bool:
     gold = {normalize_answer(a) for a in instance.answers}
     for row in instance.table.rows:
         for cell in row:
-            if normalize_answer(cell.raw) in gold:
+            if cell.key in gold:
                 return True
     return False
 

@@ -1,6 +1,9 @@
 """Table and QA-instance data model shared by every other module.
 
-All types are immutable after construction and safe to share across workers.
+All types are immutable after construction and safe to share across workers,
+except that a Cell fills its normalized answer key lazily on first read; the
+key is derived from the raw text alone and takes no part in equality, hashing
+or repr.
 Tables are flat rectangular grids of text cells with a single header row;
 blank cells are empty strings, never None.  Dates are plain text; only
 decimal numbers get a parsed representation.
@@ -90,15 +93,29 @@ def normalize_answer(raw: str) -> str:
     return canonical_decimal(number) if number is not None else s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
-    """One grid cell: raw text plus its parsed decimal value when numeric."""
+    """One grid cell: raw text plus its parsed decimal value when numeric.
+
+    Perturbed tables share their original's cells, so the normalized key
+    cached here is computed once per cell, whichever kind or seed reads it.
+    """
 
     raw: str
     parsed_number: Decimal | None = field(init=False, compare=False)
+    _key: str | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parsed_number", parse_number(self.raw))
+
+    @property
+    def key(self) -> str:
+        """``normalize_answer(self.raw)``, computed on first read."""
+        key = self._key
+        if key is None:
+            key = normalize_answer(self.raw)
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 @dataclass(frozen=True)

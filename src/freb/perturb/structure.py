@@ -63,7 +63,7 @@ def locate_target(instance: QAInstance) -> TargetLocation:
     matches = []
     for r, row in enumerate(instance.table.rows):
         for c, cell in enumerate(row):
-            if normalize_answer(cell.raw) in gold:
+            if cell.key in gold:
                 matches.append((r, c))
     if not matches:
         raise NoTargetFound(f"instance {instance.id}: answer not in table")

@@ -156,7 +156,7 @@ def evaluate_aggregation(table: Table, descriptor: AggregationDescriptor) -> str
             raise MissingAnnotation("COUNT needs a filter")
         col, needle = descriptor.filter
         target = normalize_answer(needle)
-        return str(sum(1 for row in table.rows if normalize_answer(row[col].raw) == target))
+        return str(sum(1 for row in table.rows if row[col].key == target))
     if kind in (SUM, AVG):
         if table.n_rows == 0:
             raise ValueError(f"{kind} over an empty table")
@@ -290,7 +290,7 @@ def _ac_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
     if kind == COUNT:
         col, needle = d.filter
         target = normalize_answer(needle)
-        matching = [r for r in range(table.n_rows) if normalize_answer(table.rows[r][col].raw) == target]
+        matching = [r for r in range(table.n_rows) if table.rows[r][col].key == target]
         if not matching:
             if table.n_rows == 0:
                 raise CannotPerturb("COUNT over an empty table cannot change")
@@ -343,9 +343,7 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
     if kind == COUNT:
         col, needle = d.filter
         target = normalize_answer(needle)
-        non_matching = [
-            r for r in range(table.n_rows) if normalize_answer(table.rows[r][col].raw) != target
-        ]
+        non_matching = [r for r in range(table.n_rows) if table.rows[r][col].key != target]
         other_cols = [c for c in range(table.n_cols) if c != col]
         options = []
         if other_cols and table.n_rows:
@@ -361,11 +359,7 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
             pool = [table.rows[r][c].raw for r in range(table.n_rows)]
             return [_edit(table, row, c, _replacement_string(pool, table.rows[row][c].raw, rng), STRING)]
         row = rng.choice(non_matching)
-        pool = [
-            table.rows[r][col].raw
-            for r in range(table.n_rows)
-            if normalize_answer(table.rows[r][col].raw) != target
-        ]
+        pool = [table.rows[r][col].raw for r in non_matching]
         new = _replacement_string(pool, table.rows[row][col].raw, rng)
         if normalize_answer(new) == target:
             raise CannotPerturb("no non-matching replacement available")

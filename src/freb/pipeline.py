@@ -10,7 +10,6 @@ keys — identical configs produce byte-identical reports.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +44,11 @@ DEFAULT_BACKEND = "reference:faithful_oracle"
 
 KIND_GROUPS = {"all": ALL_KINDS, **FAMILY_KINDS}
 
+# The largest timeout a model or classifier call accepts, about 11.6 days.
+# subprocess refuses timeouts past 2**31 milliseconds (about 24.8 days) with
+# OverflowError, so a larger value would abort the run at its first call.
+MAX_TIMEOUT_S = 1_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,10 +67,12 @@ class RunConfig:
 
 
 def check_timeout_retries(timeout: float, retries: int) -> None:
-    """A model or classifier call needs a positive, finite timeout in seconds
-    and a non-negative retry count; anything else is a ConfigError."""
-    if not (math.isfinite(timeout) and timeout > 0):
-        raise ConfigError(f"timeout must be a positive number of seconds, got {timeout}")
+    """A model or classifier call needs a timeout in (0, MAX_TIMEOUT_S]
+    seconds and a non-negative retry count; anything else is a ConfigError."""
+    if not 0 < timeout <= MAX_TIMEOUT_S:
+        raise ConfigError(
+            f"timeout must be a positive number of seconds up to {MAX_TIMEOUT_S}, got {timeout}"
+        )
     if retries < 0:
         raise ConfigError(f"retries must be >= 0, got {retries}")
 
@@ -184,9 +190,11 @@ def run_pipeline(config: RunConfig) -> dict:
     original_correct = {
         inst.id: is_correct(original_entries.get(inst.id), inst.answers) for inst in kept
     }
+    # Perturbations never change the question, so its cue is computed once.
+    has_cue = {inst.id: lexicon.question_has_cue(inst.question) for inst in kept}
 
     conditions = [
-        _score_condition(backend, condition, original_correct, lexicon)
+        _score_condition(backend, condition, original_correct, has_cue)
         for condition in iter_conditions(kept, config.kinds, config.seeds)
     ]
 
@@ -231,7 +239,7 @@ _SUMMARY_SCORES = tuple(
 )
 
 
-def _score_condition(backend, condition: Condition, original_correct, lexicon) -> dict:
+def _score_condition(backend, condition: Condition, original_correct, has_cue) -> dict:
     perturbed = [inst for inst, _ in condition.perturbed]
     entry: dict = {
         "kind": condition.kind.lower(),
@@ -249,7 +257,7 @@ def _score_condition(backend, condition: Condition, original_correct, lexicon) -
         inst.id: is_correct(entries.get(inst.id), inst.answers) for inst in perturbed
     }
     before_correct = {inst.id: original_correct[inst.id] for inst in perturbed}
-    compare_ids = {inst.id for inst in perturbed if lexicon.question_has_cue(inst.question)}
+    compare_ids = {inst.id for inst in perturbed if has_cue[inst.id]}
 
     em_perturbed = sum(after_correct.values()) / len(perturbed)
     em_before = sum(before_correct.values()) / len(perturbed)

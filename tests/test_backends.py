@@ -26,7 +26,7 @@ from freb.errors import BackendError, ConfigError, DatasetError, PerturbSkip
 from freb.ingest import save_dataset
 from freb.metrics import ORIGINAL
 from freb.perturb import REMOVE_TABLE, TRANSPOSE, apply_perturbation
-from freb.pipeline import RunConfig, run_pipeline
+from freb.pipeline import MAX_TIMEOUT_S, RunConfig, run_pipeline
 from freb.serialize import serialize
 from freb.toydata import build_toy_dataset
 
@@ -172,6 +172,13 @@ def test_subprocess_backend_first_line_wins():
     assert entries == {"eq-1": LOOKUP.question}
 
 
+def test_subprocess_backend_takes_the_largest_timeout():
+    backend = SubprocessBackend("head -1", timeout=MAX_TIMEOUT_S)
+    entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert failures == {}
+    assert entries == {"eq-1": LOOKUP.question}
+
+
 def test_subprocess_backend_failure_recorded_not_raised():
     backend = SubprocessBackend("exit 7")
     entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
@@ -304,6 +311,13 @@ def test_http_backend_round_trip(http_server):
     sent = _Handler.seen[0]["body"]
     assert sent["question"] == LOOKUP.question
     assert sent["table_serialized"].startswith("col : Name | Votes")
+
+
+def test_http_backend_takes_the_largest_timeout(http_server):
+    backend = HttpBackend(http_server, timeout=MAX_TIMEOUT_S)
+    entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert failures == {}
+    assert entries == {"eq-1": LOOKUP.question.upper()}
 
 
 def test_http_backend_forwards_token(http_server, monkeypatch):

@@ -281,7 +281,7 @@ def test_exit_code_config_errors(tmp_path, toy_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--retries", "-1"], ["--timeout", "-1"], ["--timeout", "0"]],
+    [["--retries", "-1"], ["--timeout", "-1"], ["--timeout", "0"], ["--timeout", "1e9"]],
 )
 def test_exit_code_bad_timeout_or_retries(tmp_path, toy_path, capsys, flags):
     out = tmp_path / "out.json"
@@ -295,6 +295,18 @@ def test_exit_code_bad_timeout_or_retries(tmp_path, toy_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.count("config error: ") == 2
     assert ("retries must be >= 0" if "--retries" in flags else "timeout must be") in err
+
+
+def test_exit_code_config_file_timeout_too_large(tmp_path, toy_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"dataset = {toy_path}\nkinds = transpose\nbackend = subprocess:echo x\ntimeout = 1e9\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.json"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "timeout must be a positive number of seconds up to 1000000" in capsys.readouterr().err
 
 
 def test_exit_code_data_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Number parsing, answer normalization and table invariants."""
 
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 
@@ -121,6 +122,31 @@ def test_normalize_answer_large_numerals_stay_small(raw):
 def test_normalize_answer_never_rounds():
     assert normalize_answer("1" * 30) != normalize_answer("1" * 29 + "2")
     assert normalize_answer("1e-999999999") != normalize_answer("0")
+
+
+@given(st.text(max_size=40))
+@example("1e30")
+@example("1" * 29)
+@example("1e-999999999")
+def test_cell_key_is_normalize_answer_and_comparison_neutral(raw):
+    cell, twin = Cell(raw), Cell(raw)
+    before = (hash(cell), repr(cell))
+    assert cell.key == normalize_answer(raw)
+    assert cell.key is cell.key  # filled once, then read back
+    assert (hash(cell), repr(cell)) == before
+    assert cell == twin and hash(cell) == hash(twin) and repr(cell) == repr(twin)
+    assert not hasattr(cell, "__dict__")
+
+
+def test_cell_key_is_read_only():
+    cell = Cell("1,500")
+    with pytest.raises(FrozenInstanceError):
+        cell.raw = "7"
+    # Python 3.11 raises TypeError, not AttributeError, for a name that is
+    # not a field of a slotted frozen dataclass.
+    with pytest.raises((AttributeError, TypeError)):
+        cell.key = "7"
+    assert cell.key == "1500"
 
 
 def test_cell_parses_number_once():

@@ -8,6 +8,7 @@ from freb.errors import ConfigError, DatasetError
 from freb.pipeline import (
     DEFAULT_SEEDS,
     KIND_GROUPS,
+    MAX_TIMEOUT_S,
     RunConfig,
     parse_config_file,
     parse_kinds,
@@ -127,6 +128,7 @@ def test_parse_config_file_bad_number(tmp_path, toy_path):
         ("retries", "-3", "retries must be >= 0"),
         ("timeout", "0", "timeout must be a positive number"),
         ("timeout", "-1", "timeout must be a positive number"),
+        ("timeout", "1e9", "timeout must be a positive number"),
     ],
 )
 def test_parse_config_file_rejects_bad_timeout_or_retries(tmp_path, toy_path, key, value, message):
@@ -145,6 +147,7 @@ def test_parse_config_file_rejects_bad_timeout_or_retries(tmp_path, toy_path, ke
         {"timeout": -1.0},
         {"timeout": float("nan")},
         {"timeout": float("inf")},
+        {"timeout": MAX_TIMEOUT_S + 0.5},
     ],
 )
 def test_run_config_rejects_bad_timeout_or_retries(toy_path, changes):
@@ -154,6 +157,10 @@ def test_run_config_rejects_bad_timeout_or_retries(toy_path, changes):
     config = RunConfig(dataset=toy_path, kinds=("TRANSPOSE",))
     with pytest.raises(ConfigError):
         replace(config, **changes)
+
+
+def test_run_config_accepts_the_largest_timeout(toy_path):
+    assert RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), timeout=MAX_TIMEOUT_S).timeout == MAX_TIMEOUT_S
 
 
 def test_parse_config_file_not_found(tmp_path):
@@ -310,6 +317,31 @@ def test_pipeline_gap_matches_metrics(toy_path, toy_instances):
     assert condition["gap"]["gap"] == gap.gap
     assert condition["gap"]["compare"]["c2w"] == gap.compare.c2w
     assert condition["gap"]["noncompare"]["n"] == gap.noncompare.n
+
+
+def test_pipeline_reads_each_question_cue_once(toy_path, monkeypatch):
+    from freb.classify import ComparativeLexicon
+
+    calls = []
+    has_cue = ComparativeLexicon.question_has_cue
+
+    def counting(self, question):
+        calls.append(question)
+        return has_cue(self, question)
+
+    monkeypatch.setattr(ComparativeLexicon, "question_has_cue", counting)
+    every_kind = RunConfig(dataset=toy_path, kinds=KIND_GROUPS["all"], seeds=(0, 1))
+    report = run_pipeline(every_kind)
+    # the faithful oracle never reads cues, so every call is the pipeline's
+    assert len(calls) == report["n_scored"]
+
+    # cue flags taken once per run score the condition that
+    # test_pipeline_gap_matches_metrics checks exactly as a run of that
+    # condition alone does
+    biased = replace(every_kind, backend="reference:last_row_biased")
+    alone = replace(biased, kinds=("SHIFT_RELEVANT_ROWS",), seeds=(1,))
+    [condition] = run_pipeline(alone)["conditions"]
+    assert condition in run_pipeline(biased)["conditions"]
 
 
 def test_pipeline_flags_constant_model(toy_path):
