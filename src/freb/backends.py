@@ -2,11 +2,13 @@
 
 Four flavors — pre-computed prediction files, a subprocess invoked per
 distinct input, an HTTP endpoint, and built-in reference models.  The
-subprocess and HTTP backends remember each answer for the backend's
-lifetime (one run), so no input is sent twice.  The reference
-models are deliberately simple probes: a faithful oracle that actually reads
-the table, positionally biased readers, and a constant-answer model.  A
-harness that cannot distinguish these has no business judging real systems.
+subprocess and HTTP backends share one transport, which also carries
+``freb classify --combined``'s secondary classifier, and remember each
+answer for the backend's lifetime (one run), so no input is sent twice.
+The reference models are deliberately simple probes: a faithful oracle that
+actually reads the table, positionally biased readers, and a constant-answer
+model.  A harness that cannot distinguish these has no business judging
+real systems.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import http.client
 import json
 import os
 import subprocess
-import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -164,146 +165,152 @@ class FileBackend:
         return entries, failures
 
 
-class SubprocessBackend:
-    """Pipes "question\\nserialized table\\n" (UTF-8) to a shell command per
-    distinct input and takes the first stdout line as the answer."""
+class _Transport:
+    """What the subprocess and HTTP backends share.
 
-    def __init__(self, command: str, timeout: float = 30.0, retries: int = 0, workers: int = 1):
-        self.command = command
+    Each distinct payload is sent once per run: answers are remembered by
+    the payload's sha256 for the backend's lifetime, failures are not.  A
+    subclass says how one instance becomes a payload (``_payload``) and how
+    one payload is sent and its reply read (``_send``, which raises on
+    failure).
+    """
+
+    def __init__(self, timeout: float, retries: int, workers: int):
         self.timeout = timeout
         self.retries = retries
         self.workers = max(1, workers)
         self._answers: dict[str, str] = {}
+
+    def _attempt(self, payload: bytes) -> tuple[str | None, str | None]:
+        """(answer, None) from the first attempt that succeeds, else (None, last error)."""
+        last_error = "no attempts made"
+        for _ in range(self.retries + 1):
+            try:
+                return self._send(payload), None
+            except (BackendError, OSError, ValueError, http.client.HTTPException) as exc:
+                last_error = str(exc)
+        return None, last_error
+
+    def ask(self, instance: QAInstance) -> str:
+        """The answer for one instance; BackendError if every attempt failed."""
+        entries, failures = self.predictions_for((ORIGINAL, 0), [instance])
+        if instance.id in failures:
+            raise BackendError(failures[instance.id])
+        return entries[instance.id]
+
+    def predictions_for(
+        self, condition: tuple[str, int], instances: Sequence[QAInstance]
+    ) -> tuple[dict[str, str | None], dict[str, str]]:
+        """Answer each instance, sending each payload not answered earlier once.
+
+        An answer depends on the payload alone, never on ``condition``.  New
+        answers are remembered after the worker pool returns.  Every
+        instance whose payload failed gets that failure.
+        """
+        payloads = [(inst.id, self._payload(inst)) for inst in instances]
+        keys = [hashlib.sha256(payload).hexdigest() for _, payload in payloads]
+        new: dict[str, bytes] = {}
+        for (_, payload), key in zip(payloads, keys):
+            if key not in self._answers:
+                new.setdefault(key, payload)
+        if self.workers > 1 and len(new) > 1:
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                results = list(pool.map(self._attempt, new.values()))
+        else:
+            results = [self._attempt(payload) for payload in new.values()]
+        errors: dict[str, str] = {}
+        for key, (answer, error) in zip(new, results):
+            if error is None:
+                self._answers[key] = answer
+            else:
+                errors[key] = error
+        entries: dict[str, str | None] = {}
+        failures: dict[str, str] = {}
+        for (iid, _), key in zip(payloads, keys):
+            if key in errors:
+                entries[iid] = None
+                failures[iid] = errors[key]
+            else:
+                entries[iid] = self._answers[key]
+        return entries, failures
+
+
+class SubprocessBackend(_Transport):
+    """Pipes "question\\nserialized table\\n" (UTF-8) to a shell command and
+    takes the first stdout line as the answer."""
+
+    def __init__(self, command: str, timeout: float = 30.0, retries: int = 0, workers: int = 1):
+        super().__init__(timeout, retries, workers)
+        self.command = command
 
     @property
     def model_id(self) -> str:
         return f"subprocess:{self.command}"
 
-    def _ask(self, payload: bytes) -> tuple[str | None, str | None]:
-        last_error = "no attempts made"
-        for _ in range(self.retries + 1):
-            try:
-                proc = subprocess.run(
-                    self.command,
-                    shell=True,
-                    input=payload,
-                    capture_output=True,
-                    timeout=self.timeout,
-                )
-            except subprocess.TimeoutExpired:
-                last_error = f"timed out after {self.timeout}s"
-                continue
-            if proc.returncode != 0:
-                stderr = proc.stderr.decode("utf-8", "replace").strip()
-                last_error = f"exit code {proc.returncode}: {stderr[:200]}"
-                continue
-            lines = proc.stdout.decode("utf-8", "replace").splitlines()
-            return (lines[0].strip() if lines else ""), None
-        return None, last_error
+    def _payload(self, inst: QAInstance) -> bytes:
+        return f"{inst.question}\n{serialize(inst.table)}\n".encode("utf-8")
 
-    def predictions_for(
-        self, condition: tuple[str, int], instances: Sequence[QAInstance]
-    ) -> tuple[dict[str, str | None], dict[str, str]]:
-        payloads = [
-            (inst.id, f"{inst.question}\n{serialize(inst.table)}\n".encode("utf-8"))
-            for inst in instances
-        ]
-        return _ask_each_once(self._ask, payloads, self._answers, self.workers)
+    def _send(self, payload: bytes) -> str:
+        try:
+            proc = subprocess.run(
+                self.command, shell=True, input=payload, capture_output=True, timeout=self.timeout
+            )
+        except subprocess.TimeoutExpired:
+            raise BackendError(f"timed out after {self.timeout}s") from None
+        if proc.returncode != 0:
+            stderr = proc.stderr.decode("utf-8", "replace").strip()
+            raise BackendError(f"exit code {proc.returncode}: {stderr[:200]}")
+        lines = proc.stdout.decode("utf-8", "replace").splitlines()
+        return lines[0].strip() if lines else ""
 
 
-class HttpBackend:
-    """POSTs {"question", "table_serialized"} as JSON per distinct input and
-    expects a JSON object {"answer": <string or number>} back.  A bearer
-    token is forwarded from the FREB_HTTP_TOKEN environment variable."""
+class HttpBackend(_Transport):
+    """POSTs {"question", "table_serialized"} as JSON and expects a JSON
+    object back whose ``reply_key`` entry ("answer" for models, "label" for
+    the classify secondary) is a string or number.  A bearer token is
+    forwarded from the FREB_HTTP_TOKEN environment variable."""
 
-    def __init__(self, url: str, timeout: float = 30.0, retries: int = 0, workers: int = 1):
+    def __init__(
+        self,
+        url: str,
+        timeout: float = 30.0,
+        retries: int = 0,
+        workers: int = 1,
+        reply_key: str = "answer",
+    ):
+        super().__init__(timeout, retries, workers)
         self.url = url
-        self.timeout = timeout
-        self.retries = retries
-        self.workers = max(1, workers)
-        self._answers: dict[str, str] = {}
+        self.reply_key = reply_key
 
     @property
     def model_id(self) -> str:
         return f"http:{self.url}"
 
-    def _ask(self, body: bytes) -> tuple[str | None, str | None]:
+    def _payload(self, inst: QAInstance) -> bytes:
+        body = {"question": inst.question, "table_serialized": serialize(inst.table)}
+        return json.dumps(body).encode("utf-8")
+
+    def _send(self, body: bytes) -> str:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(HTTP_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        last_error = "no attempts made"
-        for _ in range(self.retries + 1):
-            request = urllib.request.Request(self.url, data=body, headers=headers)
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return _answer_of(json.loads(response.read().decode("utf-8"))), None
-            except (OSError, ValueError, http.client.HTTPException) as exc:
-                last_error = str(exc)
-        return None, last_error
-
-    def predictions_for(
-        self, condition: tuple[str, int], instances: Sequence[QAInstance]
-    ) -> tuple[dict[str, str | None], dict[str, str]]:
-        payloads = [
-            (
-                inst.id,
-                json.dumps(
-                    {"question": inst.question, "table_serialized": serialize(inst.table)}
-                ).encode("utf-8"),
-            )
-            for inst in instances
-        ]
-        return _ask_each_once(self._ask, payloads, self._answers, self.workers)
+        request = urllib.request.Request(self.url, data=body, headers=headers)
+        with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            reply = json.loads(response.read().decode("utf-8"))
+        return _answer_of(reply, self.reply_key)
 
 
-def _answer_of(reply) -> str:
-    """The answer in an HTTP model's decoded reply; ValueError if there is none."""
+def _answer_of(reply, key: str) -> str:
+    """The ``key`` entry of an HTTP endpoint's decoded reply; ValueError if there is none."""
     if not isinstance(reply, dict):
         raise ValueError(f"reply is not a JSON object: {json.dumps(reply)[:200]}")
-    if "answer" not in reply:
-        raise ValueError('reply has no "answer" key')
-    answer = reply["answer"]
+    if key not in reply:
+        raise ValueError(f'reply has no "{key}" key')
+    answer = reply[key]
     if answer is None or isinstance(answer, (list, dict)):
-        raise ValueError(f'"answer" is not a string or number: {json.dumps(answer)[:200]}')
+        raise ValueError(f'"{key}" is not a string or number: {json.dumps(answer)[:200]}')
     return str(answer)
-
-
-def _ask_each_once(ask, payloads, answers, workers):
-    """Answer (instance id, payload) pairs, calling ``ask`` once per new payload.
-
-    ``answers`` maps the sha256 of every payload answered earlier in the run
-    to its answer; payloads found there are not sent again, and new answers
-    are added after the worker pool returns.  ``ask(payload)`` returns
-    (answer, None) or (None, error).  A failed payload is not remembered:
-    every instance that sent it in this batch gets the failure, and a later
-    batch asks again.
-    """
-    keys = [hashlib.sha256(payload).hexdigest() for _, payload in payloads]
-    new: dict[str, bytes] = {}
-    for (_, payload), key in zip(payloads, keys):
-        if key not in answers:
-            new.setdefault(key, payload)
-    if workers > 1 and len(new) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(ask, new.values()))
-    else:
-        results = [ask(payload) for payload in new.values()]
-    errors: dict[str, str] = {}
-    for key, (answer, error) in zip(new, results):
-        if error is None:
-            answers[key] = answer
-        else:
-            errors[key] = error
-    entries: dict[str, str | None] = {}
-    failures: dict[str, str] = {}
-    for (iid, _), key in zip(payloads, keys):
-        if key in errors:
-            entries[iid] = None
-            failures[iid] = errors[key]
-        else:
-            entries[iid] = answers[key]
-    return entries, failures
 
 
 def parse_backend(

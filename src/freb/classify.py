@@ -5,21 +5,19 @@ cell can only come from reasoning (RQ); otherwise a comparative or
 superlative cue in the question still marks it RQ; everything else is EQ.
 Comparative cues come from an explicit lexicon plus morphological suffix
 rules with an exception list, replacing POS tagging.  The combined strategy
-defers borderline EQ calls to a pluggable secondary classifier (typically an
-LLM behind a subprocess or HTTP endpoint).
+defers borderline EQ calls to a secondary classifier, any callable from an
+instance to "EQ" or "RQ"; the CLI builds it from the subprocess or HTTP
+model backend (``backends.SubprocessBackend.ask``/``HttpBackend.ask``).
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
-import urllib.request
 from dataclasses import dataclass
 
-from .core import EQ, RQ, QAInstance, Table, normalize_answer
+from .core import EQ, RQ, QAInstance, normalize_answer
 from .errors import BackendError
 from .ingest import tokenize
-from .serialize import serialize
 
 DEFAULT_EXPLICIT_WORDS = frozenset(
     {
@@ -136,81 +134,13 @@ def classify_rule_based(
 def classify_combined(instance: QAInstance, lexicon, secondary) -> str:
     """Rule-based RQ is final; rule-based EQ must be seconded to stay EQ.
 
-    ``secondary`` is any callable (question, table, answers) -> "EQ" | "RQ".
-    A secondary failure raises BackendError; callers mark the instance
-    UNKNOWN.
+    ``secondary(instance)`` returns "EQ" or "RQ".  A secondary failure, or
+    any other label, raises BackendError; callers mark the instance UNKNOWN.
     """
     if classify_rule_based(instance, lexicon) == RQ:
         return RQ
-    label = secondary(instance.question, instance.table, instance.answers)
+    label = secondary(instance)
     if label not in (EQ, RQ):
         raise BackendError(f"secondary classifier returned {label!r}, expected EQ/RQ")
-    return EQ if label == EQ else RQ
+    return label
 
-
-class SubprocessSecondary:
-    """Secondary classifier behind a shell command.
-
-    The command receives the question on line 1 and the serialized table on
-    line 2 of stdin and must print a single EQ/RQ token.
-    """
-
-    def __init__(self, command: str, timeout: float = 30.0, retries: int = 0):
-        self.command = command
-        self.timeout = timeout
-        self.retries = retries
-
-    def __call__(self, question: str, table: Table, answers) -> str:
-        payload = question + "\n" + serialize(table) + "\n"
-        last_error = None
-        for _ in range(self.retries + 1):
-            try:
-                result = subprocess.run(
-                    self.command,
-                    shell=True,
-                    input=payload.encode("utf-8"),
-                    capture_output=True,
-                    timeout=self.timeout,
-                )
-                if result.returncode != 0:
-                    raise BackendError(
-                        f"secondary command exited {result.returncode}: "
-                        f"{result.stderr.decode('utf-8', 'replace').strip()}"
-                    )
-                return result.stdout.decode("utf-8", "replace").strip()
-            except (subprocess.TimeoutExpired, BackendError) as exc:
-                last_error = exc
-        raise BackendError(f"secondary command failed: {last_error}")
-
-
-class HttpSecondary:
-    """Secondary classifier behind an HTTP endpoint.
-
-    POSTs {"question", "table_serialized"} as JSON and expects
-    {"label": "EQ"|"RQ"} back.
-    """
-
-    def __init__(self, url: str, timeout: float = 30.0, retries: int = 0,
-                 auth_token: str | None = None):
-        self.url = url
-        self.timeout = timeout
-        self.retries = retries
-        self.auth_token = auth_token
-
-    def __call__(self, question: str, table: Table, answers) -> str:
-        body = json.dumps(
-            {"question": question, "table_serialized": serialize(table)}
-        ).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
-        request = urllib.request.Request(self.url, data=body, headers=headers)
-        last_error = None
-        for _ in range(self.retries + 1):
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    reply = json.loads(resp.read().decode("utf-8"))
-                return str(reply["label"])
-            except Exception as exc:  # noqa: BLE001 - network errors vary widely
-                last_error = exc
-        raise BackendError(f"secondary endpoint failed: {last_error}")

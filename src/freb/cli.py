@@ -2,7 +2,7 @@
 
 Subcommands: perturb (write perturbed dataset files), classify (label
 questions as extraction vs reasoning), evaluate (run the perturb-predict-
-score pipeline), report (render a saved report), toydata (write the bundled
+score pipeline), report (render a saved report), toydata (write the built-in
 synthetic datasets).  Exit codes: 0 success, 1 configuration error, 2 data
 error.
 """
@@ -11,19 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .backends import HTTP_TOKEN_ENV
-from .classify import (
-    ComparativeLexicon,
-    HttpSecondary,
-    SubprocessSecondary,
-    classify_combined,
-    classify_rule_based,
-)
+from .backends import HttpBackend, SubprocessBackend
+from .classify import ComparativeLexicon, classify_combined, classify_rule_based
 from .core import EQ, RQ, UNKNOWN
 from .errors import BackendError, ConfigError, DatasetError
 from .ingest import (
@@ -98,7 +91,7 @@ def _build_parser() -> _Parser:
     r.add_argument("--in", dest="input", required=True)
     r.add_argument("--out", help="text output path (stdout when omitted)")
 
-    t = sub.add_parser("toydata", help="write the bundled synthetic dataset")
+    t = sub.add_parser("toydata", help="write a built-in synthetic dataset")
     t.add_argument("--out", required=True)
     t.add_argument("--variant", choices=["main", "sorted"], default="main")
     return parser
@@ -139,13 +132,10 @@ def _make_secondary(args):
     if bool(args.secondary_cmd) == bool(args.secondary_url):
         raise ConfigError("--combined needs exactly one of --secondary-cmd or --secondary-url")
     if args.secondary_cmd:
-        return SubprocessSecondary(args.secondary_cmd, timeout=args.timeout, retries=args.retries)
-    return HttpSecondary(
-        args.secondary_url,
-        timeout=args.timeout,
-        retries=args.retries,
-        auth_token=os.environ.get(HTTP_TOKEN_ENV),
-    )
+        return SubprocessBackend(args.secondary_cmd, timeout=args.timeout, retries=args.retries).ask
+    return HttpBackend(
+        args.secondary_url, timeout=args.timeout, retries=args.retries, reply_key="label"
+    ).ask
 
 
 def _cmd_classify(args) -> int:

@@ -411,7 +411,7 @@ def modify_no_change(
 def _search_edits(table, descriptor, rng, candidate, answer_changes: bool):
     """Draw up to _MAX_ATTEMPTS candidate edits until one changes (or keeps)
     the oracle's answer; returns (edited table, edits, new answer)."""
-    original = evaluate_aggregation(table, descriptor)
+    original_key = normalize_answer(evaluate_aggregation(table, descriptor))
     for _ in range(_MAX_ATTEMPTS):
         edits = candidate(table, descriptor, rng)
         edited = apply_edits(table, edits)
@@ -419,7 +419,7 @@ def _search_edits(table, descriptor, rng, candidate, answer_changes: bool):
             new = evaluate_aggregation(edited, descriptor)
         except TieDetected:
             continue
-        if (normalize_answer(new) != normalize_answer(original)) == answer_changes:
+        if (normalize_answer(new) != original_key) == answer_changes:
             return edited, edits, new
     goal = "change the {} answer" if answer_changes else "keep the {} answer stable"
     raise CannotPerturb(f"could not {goal.format(descriptor.kind)} in {_MAX_ATTEMPTS} attempts")

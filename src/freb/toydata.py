@@ -1,6 +1,6 @@
 """Deterministic synthetic datasets for self-testing the harness.
 
-Two sets are generated (and shipped pre-rendered under freb/data/):
+Two sets are generated (``freb toydata`` writes either one as JSONL):
 
 * the main set — extraction questions plus reasoning questions covering
   every aggregation kind, each with gold answers computed by the same
@@ -14,8 +14,6 @@ files byte for byte.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from .core import (
     ARGMAX,
@@ -417,9 +415,3 @@ def _check_ids(instances: list[QAInstance]) -> None:
     if len(set(ids)) != len(ids):
         raise AssertionError("generator bug: duplicate instance ids")
 
-
-def bundled_path(name: str) -> Path:
-    """Path of a pre-rendered dataset shipped inside the package."""
-    from importlib.resources import files
-
-    return Path(str(files("freb").joinpath("data", name)))

@@ -1,4 +1,8 @@
+import json
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +35,46 @@ def sorted_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("datasets-sorted") / "toy_sorted.jsonl"
     save_dataset(build_sorted_dataset(), path)
     return path
+
+
+@pytest.fixture()
+def loopback():
+    """A local HTTP endpoint for the HTTP backend and secondary.
+
+    ``url`` is its address and ``seen`` records each POST's JSON body and
+    Authorization header.  Raw strings in ``replies`` are sent first to
+    last; after that each reply is ``reply(body)`` as JSON, by default the
+    question in upper case as the answer.
+    """
+    state = SimpleNamespace(
+        seen=[], replies=[], reply=lambda body: {"answer": body["question"].upper()}
+    )
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            state.seen.append({"body": body, "auth": self.headers.get("Authorization")})
+            raw = state.replies.pop(0) if state.replies else json.dumps(state.reply(body))
+            reply = raw.encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    state.url = f"http://127.0.0.1:{server.server_port}/predict"
+    yield state
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 def pytest_runtest_logreport(report):

@@ -414,10 +414,10 @@ def test_p10_rule_labels_and_secondary_monotonicity():
     ]
     assert mismatches == []
 
-    def always_eq(question, table, answers):
+    def always_eq(instance):
         return EQ
 
-    def always_rq(question, table, answers):
+    def always_rq(instance):
         return RQ
 
     for inst, (_, _, expected) in zip(instances, P10_CASES):

@@ -2,9 +2,7 @@
 
 import json
 import shlex
-import threading
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -263,73 +261,33 @@ def test_subprocess_backend_failure_is_not_memoized(tmp_path):
 # --- http backend -------------------------------------------------------------------
 
 
-class _Handler(BaseHTTPRequestHandler):
-    seen = []
-    # Raw replies to send, first to last, before falling back to echoing the
-    # question in upper case.
-    replies = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
-        if type(self).replies:
-            reply = type(self).replies.pop(0).encode("utf-8")
-        else:
-            reply = json.dumps({"answer": body["question"].upper()}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    _Handler.seen = []
-    _Handler.replies = []
-    yield f"http://127.0.0.1:{server.server_port}/predict"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def test_http_backend_round_trip(http_server):
-    backend = HttpBackend(http_server)
+def test_http_backend_round_trip(loopback):
+    backend = HttpBackend(loopback.url)
     entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
     assert failures == {}
     assert entries == {"eq-1": LOOKUP.question.upper()}
-    sent = _Handler.seen[0]["body"]
+    sent = loopback.seen[0]["body"]
     assert sent["question"] == LOOKUP.question
     assert sent["table_serialized"].startswith("col : Name | Votes")
 
 
-def test_http_backend_takes_the_largest_timeout(http_server):
-    backend = HttpBackend(http_server, timeout=MAX_TIMEOUT_S)
+def test_http_backend_takes_the_largest_timeout(loopback):
+    backend = HttpBackend(loopback.url, timeout=MAX_TIMEOUT_S)
     entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
     assert failures == {}
     assert entries == {"eq-1": LOOKUP.question.upper()}
 
 
-def test_http_backend_forwards_token(http_server, monkeypatch):
+def test_http_backend_forwards_token(loopback, monkeypatch):
     monkeypatch.setenv(HTTP_TOKEN_ENV, "sesame")
-    HttpBackend(http_server).predictions_for((ORIGINAL, 0), [LOOKUP])
-    assert _Handler.seen[0]["auth"] == "Bearer sesame"
+    HttpBackend(loopback.url).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert loopback.seen[0]["auth"] == "Bearer sesame"
 
 
-def test_http_backend_no_token_header_by_default(http_server, monkeypatch):
+def test_http_backend_no_token_header_by_default(loopback, monkeypatch):
     monkeypatch.delenv(HTTP_TOKEN_ENV, raising=False)
-    HttpBackend(http_server).predictions_for((ORIGINAL, 0), [LOOKUP])
-    assert _Handler.seen[0]["auth"] is None
+    HttpBackend(loopback.url).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert loopback.seen[0]["auth"] is None
 
 
 def test_http_backend_unreachable_records_failure():
@@ -350,43 +308,43 @@ def test_http_backend_unreachable_records_failure():
         ("not json", "Expecting value"),
     ],
 )
-def test_http_backend_hostile_reply_is_a_failure(http_server, reply, message):
-    _Handler.replies = [reply]
-    entries, failures = HttpBackend(http_server).predictions_for((ORIGINAL, 0), [LOOKUP])
+def test_http_backend_hostile_reply_is_a_failure(loopback, reply, message):
+    loopback.replies = [reply]
+    entries, failures = HttpBackend(loopback.url).predictions_for((ORIGINAL, 0), [LOOKUP])
     assert entries == {"eq-1": None}
     assert message in failures["eq-1"]
 
 
-def test_http_backend_numeric_answer_is_text(http_server):
-    _Handler.replies = ['{"answer": 4}']
-    entries, failures = HttpBackend(http_server).predictions_for((ORIGINAL, 0), [LOOKUP])
+def test_http_backend_numeric_answer_is_text(loopback):
+    loopback.replies = ['{"answer": 4}']
+    entries, failures = HttpBackend(loopback.url).predictions_for((ORIGINAL, 0), [LOOKUP])
     assert entries == {"eq-1": "4"} and failures == {}
 
 
-def test_http_backend_hostile_reply_does_not_abort_the_batch(http_server):
-    _Handler.replies = ['["x"]']
-    entries, failures = HttpBackend(http_server).predictions_for(
+def test_http_backend_hostile_reply_does_not_abort_the_batch(loopback):
+    loopback.replies = ['["x"]']
+    entries, failures = HttpBackend(loopback.url).predictions_for(
         (ORIGINAL, 0), [LOOKUP, EXTREMAL]
     )
     assert entries == {"eq-1": None, "rq-1": EXTREMAL.question.upper()}
     assert set(failures) == {"eq-1"}
 
 
-def test_http_backend_failure_is_not_memoized(http_server):
-    backend = HttpBackend(http_server)
-    _Handler.replies = ['{"answer": null}']
+def test_http_backend_failure_is_not_memoized(loopback):
+    backend = HttpBackend(loopback.url)
+    loopback.replies = ['{"answer": null}']
     twins = [LOOKUP, replace(LOOKUP, id="eq-2")]
     entries, failures = backend.predictions_for((ORIGINAL, 0), twins)
     assert entries == {"eq-1": None, "eq-2": None}
     assert set(failures) == {"eq-1", "eq-2"}
-    assert len(_Handler.seen) == 1
+    assert len(loopback.seen) == 1
     entries, failures = backend.predictions_for(("TRANSPOSE", 0), [LOOKUP])
     assert entries == {"eq-1": LOOKUP.question.upper()} and failures == {}
-    assert len(_Handler.seen) == 2
+    assert len(loopback.seen) == 2
 
 
-def test_http_backend_sends_each_payload_once(http_server):
-    backend = HttpBackend(http_server)
+def test_http_backend_sends_each_payload_once(loopback):
+    backend = HttpBackend(loopback.url)
     entries, failures = backend.predictions_for(
         (ORIGINAL, 0), [LOOKUP, replace(LOOKUP, id="eq-2"), EXTREMAL]
     )
@@ -396,21 +354,21 @@ def test_http_backend_sends_each_payload_once(http_server):
         "eq-2": LOOKUP.question.upper(),
         "rq-1": EXTREMAL.question.upper(),
     }
-    assert len(_Handler.seen) == 2
+    assert len(loopback.seen) == 2
     later = [replace(EXTREMAL, id="rq-2"), LOOKUP]
     again, _ = backend.predictions_for(("TRANSPOSE", 1), later)
     assert again == {"rq-2": EXTREMAL.question.upper(), "eq-1": LOOKUP.question.upper()}
-    assert len(_Handler.seen) == 2
+    assert len(loopback.seen) == 2
 
 
-def test_http_backend_workers_give_same_entries(http_server):
-    one = HttpBackend(http_server, workers=1).predictions_for((ORIGINAL, 0), THREE_QUESTIONS)
-    two = HttpBackend(http_server, workers=2).predictions_for((ORIGINAL, 0), THREE_QUESTIONS)
+def test_http_backend_workers_give_same_entries(loopback):
+    one = HttpBackend(loopback.url, workers=1).predictions_for((ORIGINAL, 0), THREE_QUESTIONS)
+    two = HttpBackend(loopback.url, workers=2).predictions_for((ORIGINAL, 0), THREE_QUESTIONS)
     assert one == two
-    assert len(_Handler.seen) == 6
+    assert len(loopback.seen) == 6
 
 
-def test_run_pipeline_over_http_asks_each_distinct_input_once(http_server, tmp_path):
+def test_run_pipeline_over_http_asks_each_distinct_input_once(loopback, tmp_path):
     instances = build_toy_dataset()[:30]
     dataset = tmp_path / "toy.jsonl"
     save_dataset(instances, dataset)
@@ -427,12 +385,12 @@ def test_run_pipeline_over_http_asks_each_distinct_input_once(http_server, tmp_p
                 inputs.add((perturbed.question, serialize(perturbed.table)))
                 asked += 1
     config = RunConfig(
-        dataset=dataset, kinds=kinds, seeds=seeds, backend=http_server, workers=2
+        dataset=dataset, kinds=kinds, seeds=seeds, backend=loopback.url, workers=2
     )
     report = run_pipeline(config)
     assert report["original"]["failures"] == {}
-    assert len(_Handler.seen) == len(inputs) < asked
-    sent = {(r["body"]["question"], r["body"]["table_serialized"]) for r in _Handler.seen}
+    assert len(loopback.seen) == len(inputs) < asked
+    sent = {(r["body"]["question"], r["body"]["table_serialized"]) for r in loopback.seen}
     assert sent == inputs
 
 

@@ -1,22 +1,17 @@
 """Rule-based and combined question-type classification."""
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import shlex
+from dataclasses import replace
 
 import pytest
 
-from freb.backends import HTTP_TOKEN_ENV
-from freb.classify import (
-    ComparativeLexicon,
-    SubprocessSecondary,
-    classify_combined,
-    classify_rule_based,
-)
+from freb.backends import HTTP_TOKEN_ENV, SubprocessBackend
+from freb.classify import ComparativeLexicon, classify_combined, classify_rule_based
 from freb.core import EQ, RQ, QAInstance, Table
 from freb.cli import main
 from freb.errors import BackendError
-from freb.ingest import read_records
+from freb.ingest import read_records, save_dataset
 
 LEXICON = ComparativeLexicon()
 
@@ -99,8 +94,8 @@ def test_lexicon_from_file(tmp_path):
 def test_combined_rule_rq_is_final():
     calls = []
 
-    def secondary(question, table, answers):
-        calls.append(question)
+    def secondary(instance):
+        calls.append(instance.question)
         return EQ
 
     label = classify_combined(_inst("Who scored the most?", ["Ayola"]), LEXICON, secondary)
@@ -128,7 +123,7 @@ def test_combined_never_downgrades_rule_rq():
 
 
 def test_subprocess_secondary_round_trip():
-    secondary = SubprocessSecondary("head -1 >/dev/null; echo EQ")
+    secondary = SubprocessBackend("head -1 >/dev/null; echo EQ").ask
     inst = _inst("What did Cusk score?", ["19"])
     assert classify_combined(inst, LEXICON, secondary) == EQ
 
@@ -136,83 +131,86 @@ def test_subprocess_secondary_round_trip():
 def test_subprocess_secondary_sees_question_and_table():
     # The command echoes line 1 back; feeding a cue-free question whose
     # text is literally "EQ" proves the payload plumbing.
-    secondary = SubprocessSecondary("head -1")
-    assert secondary("EQ", TABLE, ("x",)) == "EQ"
+    assert SubprocessBackend("head -1").ask(_inst("EQ", ["x"])) == "EQ"
 
 
 def test_subprocess_secondary_failure_raises():
-    secondary = SubprocessSecondary("exit 3", retries=1)
-    with pytest.raises(BackendError, match="exited 3"):
-        secondary("q", TABLE, ("x",))
+    backend = SubprocessBackend("exit 3", retries=1)
+    with pytest.raises(BackendError, match="exit code 3"):
+        backend.ask(_inst("q", ["x"]))
 
 
-class _LabelHandler(BaseHTTPRequestHandler):
-    auth = []
+# --- classify --combined through the CLI -------------------------------------------
 
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        type(self).auth.append(self.headers.get("Authorization"))
-        reply = json.dumps({"label": "EQ"}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
-
-    def log_message(self, *args):
-        pass
+# Rule-based EQ, so each goes to the secondary.
+BRANT = _inst("What did Brant score?", ["24"])
 
 
-def test_cli_secondary_url_forwards_token(tmp_path, toy_path, monkeypatch):
-    server = HTTPServer(("127.0.0.1", 0), _LabelHandler)
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    _LabelHandler.auth = []
-    monkeypatch.setenv(HTTP_TOKEN_ENV, "sesame")
+def _classify(tmp_path, instances, *secondary):
+    """Labels `freb classify --combined` writes for ``instances``."""
+    data = tmp_path / "in.jsonl"
+    save_dataset(instances, data)
     out = tmp_path / "labeled.jsonl"
-    try:
-        code = main(
-            [
-                "classify",
-                "--in",
-                str(toy_path),
-                "--out",
-                str(out),
-                "--combined",
-                "--secondary-url",
-                f"http://127.0.0.1:{server.server_port}/label",
-            ]
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    code = main(["classify", "--in", str(data), "--out", str(out), "--combined", *secondary])
     assert code == 0
-    assert _LabelHandler.auth and set(_LabelHandler.auth) == {"Bearer sesame"}
-    assert "UNKNOWN" not in {r["question_type"] for r in read_records(out)}
+    return [r["question_type"] for r in read_records(out)]
 
 
-def test_cli_undecodable_secondary_reply_is_unknown(tmp_path):
-    # "What did Brant score?" is EQ by the rules, so it goes to the
-    # secondary, whose reply is not UTF-8 and so not an EQ/RQ label.
-    from freb.ingest import save_dataset
+def _calls(counter):
+    return len(counter.read_text().splitlines()) if counter.exists() else 0
 
-    data = tmp_path / "one.jsonl"
-    save_dataset([_inst("What did Brant score?", ["24"])], data)
+
+def test_cli_secondary_url_forwards_token(tmp_path, toy_path, loopback, monkeypatch):
+    loopback.reply = lambda body: {"label": "EQ"}
+    monkeypatch.setenv(HTTP_TOKEN_ENV, "sesame")
     out = tmp_path / "labeled.jsonl"
     code = main(
         [
             "classify",
             "--in",
-            str(data),
+            str(toy_path),
             "--out",
             str(out),
             "--combined",
-            "--secondary-cmd",
-            "printf '\\377EQ\\n'",
+            "--secondary-url",
+            loopback.url,
         ]
     )
     assert code == 0
-    assert [r["question_type"] for r in read_records(out)] == ["UNKNOWN"]
+    auth = [r["auth"] for r in loopback.seen]
+    assert auth and set(auth) == {"Bearer sesame"}
+    assert "UNKNOWN" not in {r["question_type"] for r in read_records(out)}
+
+
+def test_cli_undecodable_secondary_reply_is_unknown(tmp_path):
+    # The secondary's reply is not UTF-8 and so not an EQ/RQ label.
+    assert _classify(tmp_path, [BRANT], "--secondary-cmd", "printf '\\377EQ\\n'") == ["UNKNOWN"]
+
+
+def test_cli_failing_secondary_is_retried_then_unknown(tmp_path):
+    counter = tmp_path / "calls"
+    command = f"echo call >> {shlex.quote(str(counter))}; exit 1"
+    labels = _classify(tmp_path, [BRANT], "--secondary-cmd", command, "--retries", "2")
+    assert labels == ["UNKNOWN"]
+    assert _calls(counter) == 3
+
+
+def test_cli_secondary_asked_once_per_distinct_input(tmp_path):
+    counter = tmp_path / "calls"
+    command = f"cat >/dev/null; echo call >> {shlex.quote(str(counter))}; echo EQ"
+    twins = [BRANT, replace(BRANT, id="c2")]
+    assert _classify(tmp_path, twins, "--secondary-cmd", command) == [EQ, EQ]
+    assert _calls(counter) == 1
+
+
+def test_cli_secondary_label_is_its_first_line(tmp_path):
+    command = "cat >/dev/null; printf 'EQ\\nbecause Brant is named in the question\\n'"
+    assert _classify(tmp_path, [BRANT], "--secondary-cmd", command) == [EQ]
+
+
+@pytest.mark.parametrize("reply", ["not json", '["EQ"]', "{}", '{"label": null}'])
+def test_cli_hostile_secondary_reply_is_unknown(tmp_path, loopback, capsys, reply):
+    loopback.replies = [reply]
+    assert _classify(tmp_path, [BRANT], "--secondary-url", loopback.url) == ["UNKNOWN"]
+    assert len(loopback.seen) == 1
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Bundled synthetic datasets: shape, determinism, and self-consistency."""
+"""Built-in synthetic datasets: shape, determinism, and self-consistency."""
 
+import hashlib
 from collections import Counter
 
 from freb.backends import FAITHFUL_ORACLE, run_reference_model
@@ -8,7 +9,7 @@ from freb.classify import ComparativeLexicon
 from freb.core import ARGMAX, ARGMIN, EQ, RQ, validate
 from freb.ingest import DEFAULT_POSITIONAL_WORDS, load_dataset, tokenize
 from freb.perturb import evaluate_aggregation
-from freb.toydata import build_sorted_dataset, build_toy_dataset, bundled_path
+from freb.toydata import build_sorted_dataset, build_toy_dataset
 
 
 def test_toy_dataset_shape(toy_instances):
@@ -68,18 +69,21 @@ def test_generation_is_deterministic():
     assert build_sorted_dataset() == build_sorted_dataset()
 
 
-def test_bundled_files_match_generator(tmp_path):
-    # the shipped data files are exactly what the generator emits today;
-    # regenerate and compare bytes
-    main(["toydata", "--out", str(tmp_path / "toy.jsonl")])
-    main(["toydata", "--out", str(tmp_path / "toy_sorted.jsonl"), "--variant", "sorted"])
-    for name in ("toy.jsonl", "toy_sorted.jsonl"):
-        assert (tmp_path / name).read_bytes() == bundled_path(name).read_bytes(), name
+# sha256 of the bytes `freb toydata` writes; any change to the generator or
+# to the record format shows here.
+TOYDATA_SHA256 = {
+    "main": "903794d39ee7e0b2038e06e53755251f0b6d64814d99280ee308930d00cd0cd1",
+    "sorted": "6af85d874e5cd14453feac81f8a72bd4628d203b36b3dc120786e967945c4c4b",
+}
 
 
-def test_bundled_files_load(toy_instances, sorted_instances):
-    assert load_dataset(bundled_path("toy.jsonl")) == toy_instances
-    assert load_dataset(bundled_path("toy_sorted.jsonl")) == sorted_instances
+def test_toydata_command_writes_pinned_files(tmp_path, toy_instances, sorted_instances):
+    built = {"main": toy_instances, "sorted": sorted_instances}
+    for variant, digest in TOYDATA_SHA256.items():
+        path = tmp_path / f"{variant}.jsonl"
+        assert main(["toydata", "--out", str(path), "--variant", variant]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, variant
+        assert load_dataset(path) == built[variant], variant
 
 
 def test_sorted_dataset_bias_bait(sorted_instances):
