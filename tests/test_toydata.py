@@ -77,13 +77,23 @@ TOYDATA_SHA256 = {
 }
 
 
-def test_toydata_command_writes_pinned_files(tmp_path, toy_instances, sorted_instances):
-    built = {"main": toy_instances, "sorted": sorted_instances}
+def _write_toydata(tmp_path, variant):
+    path = tmp_path / f"{variant}.jsonl"
+    assert main(["toydata", "--out", str(path), "--variant", variant]) == 0
+    return path
+
+
+def test_bundled_files_match_generator(tmp_path):
+    # the files `freb toydata` writes are exactly the pinned bytes
     for variant, digest in TOYDATA_SHA256.items():
-        path = tmp_path / f"{variant}.jsonl"
-        assert main(["toydata", "--out", str(path), "--variant", variant]) == 0
+        path = _write_toydata(tmp_path, variant)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, variant
-        assert load_dataset(path) == built[variant], variant
+
+
+def test_bundled_files_load(tmp_path, toy_instances, sorted_instances):
+    built = {"main": toy_instances, "sorted": sorted_instances}
+    for variant in TOYDATA_SHA256:
+        assert load_dataset(_write_toydata(tmp_path, variant)) == built[variant], variant
 
 
 def test_sorted_dataset_bias_bait(sorted_instances):
