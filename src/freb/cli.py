@@ -159,8 +159,10 @@ def _cmd_classify(args) -> int:
         if secondary is not None:
             try:
                 label = classify_combined(inst, lexicon, secondary)
-            except BackendError:
+            except BackendError as exc:
                 label = UNKNOWN
+                reason = " ".join(str(exc).split())  # one line, whatever the secondary wrote
+                print(f"{inst.id}: {reason}", file=sys.stderr)
         else:
             label = classify_rule_based(inst, lexicon)
         counts[label] += 1

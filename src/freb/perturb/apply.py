@@ -1,18 +1,18 @@
 """Single entry point for applying any perturbation kind to an instance.
 
 ``KINDS`` is the one table of perturbation kinds: each entry names a kind's
-family, the check that decides which instances it applies to, and how it
-is applied.  ``apply_perturbation`` looks a kind up there, derives the
-per-instance random stream, and re-expresses cell annotations in the
-perturbed table's coordinates so downstream consumers (most importantly
-the faithful reference model) keep working.  ``iter_conditions`` is the
-kinds x seeds x instances loop that ``freb perturb`` and ``freb evaluate``
-share.
+family, the check that decides which instances it applies to, a ``plan``
+that makes every random draw and returns the kind's params, and a pure
+``realize`` that builds the perturbed instance from the original and those
+params alone.  ``apply_perturbation`` runs check, plan and realize under the
+per-instance random stream and records the provenance; ``replay`` rebuilds
+any perturbed instance from its record.  ``iter_conditions`` is the kinds x
+seeds x instances loop that ``freb perturb`` and ``freb evaluate`` share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from ..core import EQ, RQ, QAInstance
@@ -22,9 +22,12 @@ from .relevance import (
     REMOVE_RELEVANT,
     REMOVE_TABLE,
     SHIFT_RELEVANT_ROWS,
-    remove_relevant_cells,
-    remove_table,
-    shift_relevant_rows,
+    plan_remove_relevant,
+    plan_remove_table,
+    plan_shift_relevant_rows,
+    realize_remove_relevant,
+    realize_remove_table,
+    realize_shift_relevant_rows,
 )
 from .structure import (
     SHUFFLE_COLS,
@@ -35,36 +38,51 @@ from .structure import (
     TARGET_ROW_MIDDLE,
     TARGET_ROW_TOP,
     TRANSPOSE,
-    PerturbationRecord,
-    remap_annotations,
-    shift_target_col,
-    shift_target_row,
-    shuffle_cols,
-    shuffle_rows,
-    transpose,
+    plan_shuffle_cols,
+    plan_shuffle_rows,
+    plan_target_shift,
+    plan_transpose,
+    realize_shuffle_cols,
+    realize_shuffle_rows,
+    realize_target_col,
+    realize_target_row,
+    realize_transpose,
 )
 from .value import (
     SHORTENED,
     VALUE_AC,
     VALUE_NC,
-    ValueEdit,
-    apply_edits,
-    modify_answer_change,
-    modify_no_change,
-    shorten,
+    plan_shortened,
+    plan_value_edit,
+    realize_shortened,
+    realize_value_edit,
 )
+
+
+@dataclass(frozen=True)
+class PerturbationRecord:
+    """Provenance of one derived instance: ``replay`` rebuilds it from the
+    source instance and ``params`` alone.  ``seed`` is the kind's derived
+    per-instance seed, whether or not its plan draws from it."""
+
+    kind: str
+    seed: int
+    params: dict
+    source_id: str
 
 
 @dataclass(frozen=True)
 class KindSpec:
     """One perturbation kind.  ``check(instance)`` raises a PerturbSkip
-    subclass for instances the kind does not apply to; ``apply(instance,
-    rng)`` returns the perturbed instance and its provenance record."""
+    subclass for instances the kind does not apply to; ``plan(instance,
+    rng)`` makes every draw and may raise one too; ``realize(instance,
+    params)`` is pure and returns the perturbed instance."""
 
     name: str
     family: str
     check: Callable[[QAInstance], None]
-    apply: Callable[[QAInstance, Rng], tuple[QAInstance, PerturbationRecord]]
+    plan: Callable[[QAInstance, Rng], dict]
+    realize: Callable[[QAInstance, dict], QAInstance]
 
 
 # Structure perturbations rearrange lookup evidence, so they apply to
@@ -80,153 +98,49 @@ def _question_type(kind: str, question_type: str, label: str):
     return check
 
 
-def _annotated(kind: str, field: str, what: str):
+def _annotated(kind: str, attribute: str, what: str):
     def check(instance: QAInstance) -> None:
-        if not getattr(instance, field):
+        if not getattr(instance, attribute):
             raise MissingAnnotation(f"{kind.lower()} needs {what}")
 
     return check
 
 
-def _structure(kind: str, apply) -> KindSpec:
-    return KindSpec(kind, "structure", _question_type(kind, EQ, "extraction"), apply)
+def _structure(kind: str, plan, realize) -> KindSpec:
+    return KindSpec(kind, "structure", _question_type(kind, EQ, "extraction"), plan, realize)
 
 
-def _removal(kind: str, remove) -> KindSpec:
-    check = _question_type(kind, RQ, "reasoning")
-    return KindSpec(kind, "relevance", check, lambda instance, rng: remove(instance))
+def _removal(kind: str, plan, realize) -> KindSpec:
+    return KindSpec(kind, "relevance", _question_type(kind, RQ, "reasoning"), plan, realize)
 
 
-def _value(kind: str, apply) -> KindSpec:
+def _value(kind: str, plan, realize) -> KindSpec:
     check = _annotated(kind, "aggregation", "an aggregation descriptor")
-    return KindSpec(kind, "value", check, apply)
-
-
-def _shuffled(shuffle, axis: str):
-    def apply(instance: QAInstance, rng: Rng) -> tuple[QAInstance, PerturbationRecord]:
-        table, record = shuffle(instance.table, rng)
-        mapping = _map_from_permutation(record.params["permutation"])
-        perturbed = remap_annotations(instance, **{axis: mapping}).with_table(table)
-        return perturbed, record.for_instance(instance.id)
-
-    return apply
-
-
-def _map_from_permutation(perm: list[int]) -> list[int]:
-    mapping = [0] * len(perm)
-    for new, old in enumerate(perm):
-        mapping[old] = new
-    return mapping
-
-
-def _target_shifted(shift, part: str):
-    return lambda instance, rng: shift(instance, part, rng)
-
-
-def _transposed(instance: QAInstance, rng: Rng) -> tuple[QAInstance, PerturbationRecord]:
-    # Rows and columns swap roles, so cell annotations no longer describe a
-    # grid this schema can express; they are dropped and noted.
-    table, record = transpose(instance.table)
-    params = dict(record.params)
-    params["annotations_dropped"] = bool(instance.relevant_cells or instance.aggregation)
-    perturbed = replace(instance, relevant_cells=None, aggregation=None).with_table(table)
-    return perturbed, replace(record, params=params, source_id=instance.id)
-
-
-def _shortened(instance: QAInstance, rng: Rng) -> tuple[QAInstance, PerturbationRecord]:
-    shortened, _ = shorten(instance)
-    perturbed = replace(
-        instance, relevant_cells=None, aggregation=shortened.descriptor
-    ).with_table(shortened.table)
-    record = PerturbationRecord(
-        SHORTENED,
-        rng.seed,
-        {"rows": list(shortened.row_map), "cols": list(shortened.col_map)},
-        source_id=instance.id,
-    )
-    return perturbed, record
-
-
-def _value_edited(
-    instance: QAInstance, rng: Rng, answer_changes: bool
-) -> tuple[QAInstance, PerturbationRecord]:
-    shortened, _ = shorten(instance)
-    if answer_changes:
-        _, short_edits, new_answer = modify_answer_change(
-            shortened.table, shortened.descriptor, rng
-        )
-    else:
-        _, short_edits = modify_no_change(shortened.table, shortened.descriptor, rng)
-
-    # Edits were chosen in shortened coordinates; map them back onto the
-    # full table, which contains the same cells at their original spots.
-    edits = [
-        ValueEdit(
-            coord=type(e.coord)(shortened.row_map[e.coord.row], shortened.col_map[e.coord.col]),
-            old=e.old,
-            new=e.new,
-            edit_class=e.edit_class,
-        )
-        for e in short_edits
-    ]
-    table = apply_edits(instance.table, edits)
-    removed = {e.coord.row for e in edits if e.edit_class == "ROW_REMOVAL"}
-    perturbed = _drop_removed_rows(instance, removed).with_table(table)
-    params = {
-        "edits": [e.to_json() for e in edits],
-        "original_answers": list(instance.answers),
-    }
-    if answer_changes:
-        params["new_answer"] = new_answer
-        perturbed = replace(perturbed, answers=(new_answer,))
-    kind = VALUE_AC if answer_changes else VALUE_NC
-    return perturbed, PerturbationRecord(kind, rng.seed, params, source_id=instance.id)
-
-
-def _drop_removed_rows(instance: QAInstance, removed: set[int]) -> QAInstance:
-    if not removed:
-        return instance
-
-    def shift(row: int) -> int:
-        return row - sum(1 for r in removed if r < row)
-
-    changes = {}
-    if instance.relevant_cells is not None:
-        changes["relevant_cells"] = tuple(
-            type(c)(shift(c.row), c.col) for c in instance.relevant_cells if c.row not in removed
-        )
-    agg = instance.aggregation
-    if agg is not None and agg.operands is not None:
-        if any(o.row in removed for o in agg.operands):
-            changes["aggregation"] = None  # operands gone; descriptor unusable
-        else:
-            changes["aggregation"] = replace(
-                agg, operands=tuple(type(o)(shift(o.row), o.col) for o in agg.operands)
-            )
-    return replace(instance, **changes) if changes else instance
+    return KindSpec(kind, "value", check, plan, realize)
 
 
 # Canonical order: reports, output files and the group aliases follow it.
 KINDS = (
-    _structure(SHUFFLE_ROWS, _shuffled(shuffle_rows, "row_map")),
-    _structure(SHUFFLE_COLS, _shuffled(shuffle_cols, "col_map")),
-    _structure(TARGET_ROW_TOP, _target_shifted(shift_target_row, "TOP")),
-    _structure(TARGET_ROW_MIDDLE, _target_shifted(shift_target_row, "MIDDLE")),
-    _structure(TARGET_ROW_BOTTOM, _target_shifted(shift_target_row, "BOTTOM")),
-    _structure(TARGET_COL_FRONT, _target_shifted(shift_target_col, "FRONT")),
-    _structure(TARGET_COL_BACK, _target_shifted(shift_target_col, "BACK")),
-    _structure(TRANSPOSE, _transposed),
-    _removal(REMOVE_RELEVANT, remove_relevant_cells),
-    _removal(REMOVE_TABLE, remove_table),
+    _structure(SHUFFLE_ROWS, plan_shuffle_rows, realize_shuffle_rows),
+    _structure(SHUFFLE_COLS, plan_shuffle_cols, realize_shuffle_cols),
+    _structure(TARGET_ROW_TOP, plan_target_shift("row", "TOP"), realize_target_row),
+    _structure(TARGET_ROW_MIDDLE, plan_target_shift("row", "MIDDLE"), realize_target_row),
+    _structure(TARGET_ROW_BOTTOM, plan_target_shift("row", "BOTTOM"), realize_target_row),
+    _structure(TARGET_COL_FRONT, plan_target_shift("col", "FRONT"), realize_target_col),
+    _structure(TARGET_COL_BACK, plan_target_shift("col", "BACK"), realize_target_col),
+    _structure(TRANSPOSE, plan_transpose, realize_transpose),
+    _removal(REMOVE_RELEVANT, plan_remove_relevant, realize_remove_relevant),
+    _removal(REMOVE_TABLE, plan_remove_table, realize_remove_table),
     KindSpec(
         SHIFT_RELEVANT_ROWS,
         "relevance",
         _annotated(SHIFT_RELEVANT_ROWS, "relevant_cells", "relevant-cell annotations"),
-        shift_relevant_rows,
+        plan_shift_relevant_rows,
+        realize_shift_relevant_rows,
     ),
-    _value(VALUE_AC, lambda instance, rng: _value_edited(instance, rng, answer_changes=True)),
-    _value(VALUE_NC, lambda instance, rng: _value_edited(instance, rng, answer_changes=False)),
-    _value(SHORTENED, _shortened),
+    _value(VALUE_AC, plan_value_edit(answer_changes=True), realize_value_edit),
+    _value(VALUE_NC, plan_value_edit(answer_changes=False), realize_value_edit),
+    _value(SHORTENED, plan_shortened, realize_shortened),
 )
 
 _SPECS = {spec.name: spec for spec in KINDS}
@@ -249,15 +163,28 @@ def kind_from_name(name: str) -> str:
     return kind
 
 
+def _spec(kind: str) -> KindSpec:
+    spec = _SPECS.get(kind)
+    if spec is None:
+        raise UnsupportedKind(f"unknown perturbation kind {kind!r}")
+    return spec
+
+
 def apply_perturbation(
     instance: QAInstance, kind: str, global_seed: int
 ) -> tuple[QAInstance, PerturbationRecord]:
     """Perturb one instance; raises a PerturbSkip subclass when it cannot."""
-    spec = _SPECS.get(kind)
-    if spec is None:
-        raise UnsupportedKind(f"unknown perturbation kind {kind!r}")
+    spec = _spec(kind)
     spec.check(instance)
-    return spec.apply(instance, derive_rng(global_seed, instance.id, kind))
+    rng = derive_rng(global_seed, instance.id, kind)
+    params = spec.plan(instance, rng)
+    return spec.realize(instance, params), PerturbationRecord(kind, rng.seed, params, instance.id)
+
+
+def replay(original: QAInstance, record: PerturbationRecord) -> QAInstance:
+    """The perturbed instance ``record`` describes, rebuilt from ``original``
+    and the recorded params alone (they may have been through JSON)."""
+    return _spec(record.kind).realize(original, record.params)
 
 
 @dataclass(frozen=True)

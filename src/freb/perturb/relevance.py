@@ -5,17 +5,18 @@ These operations target reasoning questions annotated with the cells the
 answer depends on.  Blanking and table removal make instances unanswerable
 on purpose — a model that still answers "correctly" is not reading the
 table.  Row displacement keeps the instance answerable but moves the
-evidence, exposing positional shortcuts.
+evidence, exposing positional shortcuts.  As with every kind, ``plan`` makes
+the draws and ``realize`` rebuilds the instance from the params alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from ..core import Cell, CellCoord, QAInstance, Table
+from ..core import Cell, QAInstance, Table
 from ..errors import MissingAnnotation
 from ..rng import Rng
-from .structure import PerturbationRecord
+from .structure import select
 
 REMOVE_RELEVANT = "REMOVE_RELEVANT"
 REMOVE_TABLE = "REMOVE_TABLE"
@@ -24,77 +25,51 @@ SHIFT_RELEVANT_ROWS = "SHIFT_RELEVANT_ROWS"
 DUMMY_VALUE = "None"
 
 
-def remove_relevant_cells(instance: QAInstance) -> tuple[QAInstance, PerturbationRecord]:
-    """Blank every annotated relevant cell; the grid keeps its shape."""
+def plan_remove_relevant(instance: QAInstance, rng: Rng) -> dict:
     if not instance.relevant_cells:
         raise MissingAnnotation(f"instance {instance.id}: no relevant cells")
-    blanked = {(c.row, c.col) for c in instance.relevant_cells}
+    return {"blanked": sorted({(c.row, c.col) for c in instance.relevant_cells})}
+
+
+def realize_remove_relevant(instance: QAInstance, params: dict) -> QAInstance:
+    """Blank every listed cell; the grid keeps its shape."""
+    blanked = {(r, c) for r, c in params["blanked"]}
     rows = tuple(
         tuple(Cell("") if (r, c) in blanked else cell for c, cell in enumerate(row))
         for r, row in enumerate(instance.table.rows)
     )
-    table = Table(headers=instance.table.headers, rows=rows)
-    record = PerturbationRecord(
-        REMOVE_RELEVANT,
-        0,
-        {"blanked": sorted(blanked)},
-        source_id=instance.id,
-    )
-    return instance.with_table(table), record
+    return instance.with_table(Table(headers=instance.table.headers, rows=rows))
 
 
-def remove_table(instance: QAInstance) -> tuple[QAInstance, PerturbationRecord]:
+def plan_remove_table(instance: QAInstance, rng: Rng) -> dict:
+    return {"original_shape": [instance.table.n_rows, instance.table.n_cols]}
+
+
+def realize_remove_table(instance: QAInstance, params: dict) -> QAInstance:
     """Replace the table with a 1x1 placeholder; question and answers stay."""
     dummy = Table.from_values([DUMMY_VALUE], [[DUMMY_VALUE]])
-    record = PerturbationRecord(
-        REMOVE_TABLE,
-        0,
-        {"original_shape": [instance.table.n_rows, instance.table.n_cols]},
-        source_id=instance.id,
-    )
     # Cell annotations would dangle on the placeholder, so they are dropped.
-    stripped = replace(instance, relevant_cells=None, aggregation=None)
-    return stripped.with_table(dummy), record
+    return replace(instance, table=dummy, relevant_cells=None, aggregation=None)
 
 
-def shift_relevant_rows(
-    instance: QAInstance, rng: Rng
-) -> tuple[QAInstance, PerturbationRecord]:
+def plan_shift_relevant_rows(instance: QAInstance, rng: Rng) -> dict:
     """Pull out the rows holding relevant cells and re-insert them, still in
     order and contiguous, at a uniformly random offset among the rest.
 
-    When every row is relevant there is nowhere to move; the table is
-    returned unchanged with a no-op marker in the record.
+    When every row is relevant there is nowhere to move: nothing is drawn,
+    ``insert_at`` is None and the params are marked a no-op.
     """
-    if not instance.relevant_cells:
-        raise MissingAnnotation(f"instance {instance.id}: no relevant cells")
     relevant = sorted({c.row for c in instance.relevant_cells})
-    others = [r for r in range(instance.table.n_rows) if r not in set(relevant)]
-    if not others:
-        record = PerturbationRecord(
-            SHIFT_RELEVANT_ROWS,
-            rng.seed,
-            {"relevant_rows": relevant, "insert_at": None, "noop": True},
-            source_id=instance.id,
-        )
-        return instance, record
-    insert_at = rng.randrange(0, len(others) + 1)
-    order = others[:insert_at] + relevant + others[insert_at:]
-    rows = tuple(instance.table.rows[r] for r in order)
-    table = Table(headers=instance.table.headers, rows=rows)
+    others = instance.table.n_rows - len(relevant)
+    return {
+        "relevant_rows": relevant,
+        "insert_at": rng.randrange(0, others + 1) if others else None,
+        "noop": not others,
+    }
 
-    row_map = {old: new for new, old in enumerate(order)}
-    cells = tuple(CellCoord(row_map[c.row], c.col) for c in instance.relevant_cells)
-    agg = instance.aggregation
-    if agg is not None and agg.operands is not None:
-        agg = replace(
-            agg, operands=tuple(CellCoord(row_map[o.row], o.col) for o in agg.operands)
-        )
-    shifted = replace(instance, relevant_cells=cells, aggregation=agg).with_table(table)
-    record = PerturbationRecord(
-        SHIFT_RELEVANT_ROWS,
-        rng.seed,
-        {"relevant_rows": relevant, "insert_at": insert_at, "noop": False},
-        source_id=instance.id,
-    )
-    return shifted, record
+
+def realize_shift_relevant_rows(instance: QAInstance, params: dict) -> QAInstance:
+    relevant, at = params["relevant_rows"], params["insert_at"]
+    moved = set(relevant)
+    others = [r for r in range(instance.table.n_rows) if r not in moved]
+    return select(instance, others[:at] + relevant + others[at:], range(instance.table.n_cols))

@@ -1,16 +1,19 @@
 """Answer-preserving table-structure perturbations for extraction questions.
 
 Shuffling, target-row/column shifting, and transposing never change the
-question or answers; they only rearrange where the evidence sits.  Every
-operation records enough parameters to replay its output without the
-generator (see ``replay_table``).
+question or answers; they only rearrange where the evidence sits.  Each kind
+is a ``plan`` that makes every random draw and returns JSON-able params, and
+a pure ``realize`` that rebuilds the perturbed instance from those params
+alone.  ``select`` is the row/column selector most realizes (structure,
+relevance and value alike) go through; it is the one place annotation
+coordinates are re-expressed in a perturbed table's coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from ..core import Cell, QAInstance, Table, normalize_answer
+from ..core import AggregationDescriptor, Cell, CellCoord, QAInstance, Table, normalize_answer
 from ..errors import NoTargetFound, TooFewRows
 from ..rng import Rng
 
@@ -25,19 +28,6 @@ TRANSPOSE = "TRANSPOSE"
 
 ROW_PARTS = {"TOP": 0, "MIDDLE": 1, "BOTTOM": 2}
 COL_PARTS = {"FRONT": 0, "BACK": 1}
-
-
-@dataclass(frozen=True)
-class PerturbationRecord:
-    """Provenance of one derived instance; params fully determine the output."""
-
-    kind: str
-    seed: int
-    params: dict = field(default_factory=dict)
-    source_id: str = ""
-
-    def for_instance(self, instance_id: str) -> PerturbationRecord:
-        return replace(self, source_id=instance_id)
 
 
 @dataclass(frozen=True)
@@ -86,141 +76,128 @@ def partition_indices(n: int, parts: int) -> Partition:
     return Partition(part_count=parts, boundaries=tuple(boundaries))
 
 
-def shuffle_rows(table: Table, rng: Rng) -> tuple[Table, PerturbationRecord]:
-    rows = list(table.rows)
-    perm = rng.shuffle(rows)
-    record = PerturbationRecord(SHUFFLE_ROWS, rng.seed, {"permutation": perm})
-    return Table(headers=table.headers, rows=tuple(rows)), record
+def select(instance: QAInstance, rows, cols) -> QAInstance:
+    """``instance`` over its table's ``rows`` and ``cols``, in that order.
 
-
-def shuffle_cols(table: Table, rng: Rng) -> tuple[Table, PerturbationRecord]:
-    cols = list(range(table.n_cols))
-    perm = rng.shuffle(cols)
-    headers = tuple(table.headers[j] for j in cols)
-    rows = tuple(tuple(row[j] for j in cols) for row in table.rows)
-    record = PerturbationRecord(SHUFFLE_COLS, rng.seed, {"permutation": perm})
-    return Table(headers=headers, rows=rows), record
-
-
-def _move_index_map(n: int, removed: int, inserted: int) -> list[int]:
-    """old index -> new index after removing ``removed`` and re-inserting at
-    ``inserted`` (an index into the final n-element sequence)."""
-    mapping = [0] * n
-    for old in range(n):
-        if old == removed:
-            mapping[old] = inserted
-        else:
-            shifted = old - (1 if old > removed else 0)
-            mapping[old] = shifted + (1 if shifted >= inserted else 0)
-    return mapping
-
-
-def _shift_row(table: Table, target_row: int, insert_at: int) -> Table:
-    rows = list(table.rows)
-    moved = rows.pop(target_row)
-    rows.insert(insert_at, moved)
-    return Table(headers=table.headers, rows=tuple(rows))
-
-
-def _shift_col(table: Table, target_col: int, insert_at: int) -> Table:
-    order = list(range(table.n_cols))
-    order.pop(target_col)
-    order.insert(insert_at, target_col)
-    headers = tuple(table.headers[j] for j in order)
-    rows = tuple(tuple(row[j] for j in order) for row in table.rows)
-    return Table(headers=headers, rows=rows)
-
-
-def remap_annotations(instance: QAInstance, row_map=None, col_map=None) -> QAInstance:
-    """Keep relevant-cell and aggregation coordinates pointing at the same
-    content after rows/columns move."""
-
-    def map_row(r):
-        return row_map[r] if row_map is not None else r
-
-    def map_col(c):
-        return col_map[c] if col_map is not None else c
-
-    changes = {}
-    if instance.relevant_cells is not None:
-        changes["relevant_cells"] = tuple(
-            type(c)(map_row(c.row), map_col(c.col)) for c in instance.relevant_cells
+    Cells are shared with the original, not built again.  Relevant cells and
+    the aggregation descriptor follow the cells they point at: a relevant
+    cell that is left out is dropped, and a descriptor that reads a left-out
+    row or column becomes None.
+    """
+    table = instance.table
+    rows, cols = list(rows), list(cols)
+    if cols == list(range(table.n_cols)):  # whole rows, so share them too
+        grid = tuple(table.rows[r] for r in rows)
+    else:
+        grid = tuple(tuple(table.rows[r][c] for c in cols) for r in rows)
+    row_of = dict(zip(rows, range(len(rows))))
+    col_of = dict(zip(cols, range(len(cols))))
+    relevant = instance.relevant_cells
+    if relevant is not None:
+        relevant = tuple(
+            CellCoord(row_of[c.row], col_of[c.col])
+            for c in relevant
+            if c.row in row_of and c.col in col_of
         )
-    agg = instance.aggregation
-    if agg is not None:
-        changes["aggregation"] = replace(
-            agg,
-            value_col=map_col(agg.value_col),
-            label_col=None if agg.label_col is None else map_col(agg.label_col),
-            filter=None if agg.filter is None else (map_col(agg.filter[0]), agg.filter[1]),
-            operands=None
+    return instance.with_table(
+        Table(headers=tuple(table.headers[c] for c in cols), rows=grid),
+        relevant_cells=relevant,
+        aggregation=_select_descriptor(instance.aggregation, row_of, col_of),
+    )
+
+
+def _select_descriptor(
+    agg: AggregationDescriptor | None, row_of: dict, col_of: dict
+) -> AggregationDescriptor | None:
+    if agg is None:
+        return None
+    try:
+        return AggregationDescriptor(
+            agg.kind,
+            col_of[agg.value_col],
+            None if agg.label_col is None else col_of[agg.label_col],
+            None if agg.filter is None else (col_of[agg.filter[0]], agg.filter[1]),
+            None
             if agg.operands is None
-            else tuple(type(o)(map_row(o.row), map_col(o.col)) for o in agg.operands),
+            else tuple(CellCoord(row_of[o.row], col_of[o.col]) for o in agg.operands),
         )
-    return replace(instance, **changes) if changes else instance
+    except KeyError:  # it reads a row or column that was left out
+        return None
 
 
-def shift_target_row(
-    instance: QAInstance, part: str, rng: Rng
-) -> tuple[QAInstance, PerturbationRecord]:
-    """Move the answer-bearing row to a random slot of the top/middle/bottom
-    third of the table; all other rows keep their relative order."""
-    if part not in ROW_PARTS:
-        raise ValueError(f"part must be one of {sorted(ROW_PARTS)}, got {part!r}")
-    location = locate_target(instance)
-    n = instance.table.n_rows
-    if n < 3:
-        raise TooFewRows(f"instance {instance.id}: {n} rows, need >= 3")
-    start, stop = partition_indices(n, 3).boundaries[ROW_PARTS[part]]
-    insert_at = rng.randrange(start, stop)
-    table = _shift_row(instance.table, location.row, insert_at)
-    row_map = _move_index_map(n, location.row, insert_at)
-    perturbed = remap_annotations(instance, row_map=row_map).with_table(table)
-    record = PerturbationRecord(
-        kind={"TOP": TARGET_ROW_TOP, "MIDDLE": TARGET_ROW_MIDDLE,
-              "BOTTOM": TARGET_ROW_BOTTOM}[part],
-        seed=rng.seed,
-        params={
-            "target_row": location.row,
-            "insert_at": insert_at,
+def _axes(instance: QAInstance) -> tuple[list[int], list[int]]:
+    return list(range(instance.table.n_rows)), list(range(instance.table.n_cols))
+
+
+def plan_shuffle_rows(instance: QAInstance, rng: Rng) -> dict:
+    # perm[i] is the original row now at position i.
+    return {"permutation": rng.shuffle(list(range(instance.table.n_rows)))}
+
+
+def realize_shuffle_rows(instance: QAInstance, params: dict) -> QAInstance:
+    return select(instance, params["permutation"], range(instance.table.n_cols))
+
+
+def plan_shuffle_cols(instance: QAInstance, rng: Rng) -> dict:
+    return {"permutation": rng.shuffle(list(range(instance.table.n_cols)))}
+
+
+def realize_shuffle_cols(instance: QAInstance, params: dict) -> QAInstance:
+    return select(instance, range(instance.table.n_rows), params["permutation"])
+
+
+def plan_target_shift(axis: str, part: str):
+    """Plan for moving the answer-bearing row (``axis`` "row", a ROW_PARTS
+    third) or column ("col", a COL_PARTS half) to a random slot of ``part``;
+    everything else keeps its relative order."""
+    parts, noun = (ROW_PARTS, "rows") if axis == "row" else (COL_PARTS, "columns")
+
+    def plan(instance: QAInstance, rng: Rng) -> dict:
+        location = locate_target(instance)
+        n = instance.table.n_rows if axis == "row" else instance.table.n_cols
+        if n < len(parts):
+            raise TooFewRows(f"instance {instance.id}: {n} {noun}, need >= {len(parts)}")
+        start, stop = partition_indices(n, len(parts)).boundaries[parts[part]]
+        return {
+            f"target_{axis}": getattr(location, axis),
+            "insert_at": rng.randrange(start, stop),
             "part_range": [start, stop],
             "ambiguous": location.ambiguous,
-        },
-        source_id=instance.id,
-    )
-    return perturbed, record
+        }
+
+    return plan
 
 
-def shift_target_col(
-    instance: QAInstance, part: str, rng: Rng
-) -> tuple[QAInstance, PerturbationRecord]:
-    """Column analogue of shift_target_row with a front/back split."""
-    if part not in COL_PARTS:
-        raise ValueError(f"part must be one of {sorted(COL_PARTS)}, got {part!r}")
-    location = locate_target(instance)
-    n = instance.table.n_cols
-    if n < 2:
-        raise TooFewRows(f"instance {instance.id}: {n} columns, need >= 2")
-    start, stop = partition_indices(n, 2).boundaries[COL_PARTS[part]]
-    insert_at = rng.randrange(start, stop)
-    table = _shift_col(instance.table, location.col, insert_at)
-    col_map = _move_index_map(n, location.col, insert_at)
-    perturbed = remap_annotations(instance, col_map=col_map).with_table(table)
-    record = PerturbationRecord(
-        kind={"FRONT": TARGET_COL_FRONT, "BACK": TARGET_COL_BACK}[part],
-        seed=rng.seed,
-        params={
-            "target_col": location.col,
-            "insert_at": insert_at,
-            "part_range": [start, stop],
-            "ambiguous": location.ambiguous,
-        },
-        source_id=instance.id,
-    )
-    return perturbed, record
+def realize_target_row(instance: QAInstance, params: dict) -> QAInstance:
+    rows, cols = _axes(instance)
+    rows.remove(params["target_row"])
+    rows.insert(params["insert_at"], params["target_row"])
+    return select(instance, rows, cols)
 
 
-def transpose(table: Table, index_headers: bool = True) -> tuple[Table, PerturbationRecord]:
+def realize_target_col(instance: QAInstance, params: dict) -> QAInstance:
+    rows, cols = _axes(instance)
+    cols.remove(params["target_col"])
+    cols.insert(params["insert_at"], params["target_col"])
+    return select(instance, rows, cols)
+
+
+def plan_transpose(instance: QAInstance, rng: Rng) -> dict:
+    return {
+        "index_headers": True,
+        "original_shape": [instance.table.n_rows, instance.table.n_cols],
+        "annotations_dropped": bool(instance.relevant_cells or instance.aggregation),
+    }
+
+
+def realize_transpose(instance: QAInstance, params: dict) -> QAInstance:
+    # Rows and columns swap roles, so cell annotations no longer describe a
+    # grid this schema can express; they are dropped and noted.
+    table = transpose(instance.table, index_headers=params["index_headers"])
+    return replace(instance, table=table, relevant_cells=None, aggregation=None)
+
+
+def transpose(table: Table, index_headers: bool = True) -> Table:
     """Rotate the table: original cell (r, c) lands at (c, r + 1).
 
     With index_headers (the default) the new header row is "0", "1", ... and
@@ -239,28 +216,4 @@ def transpose(table: Table, index_headers: bool = True) -> tuple[Table, Perturba
     else:
         headers = tuple(cell.raw for cell in rotated[0]) if rotated else ()
         grid = rotated[1:]
-    record = PerturbationRecord(
-        TRANSPOSE, 0, {"index_headers": index_headers, "original_shape": [n_rows, n_cols]}
-    )
-    return Table(headers=headers, rows=tuple(grid)), record
-
-
-def replay_table(table: Table, record: PerturbationRecord) -> Table:
-    """Re-apply a structure perturbation from its recorded params alone."""
-    kind, params = record.kind, record.params
-    if kind == SHUFFLE_ROWS:
-        perm = params["permutation"]
-        return Table(headers=table.headers, rows=tuple(table.rows[j] for j in perm))
-    if kind == SHUFFLE_COLS:
-        perm = params["permutation"]
-        headers = tuple(table.headers[j] for j in perm)
-        rows = tuple(tuple(row[j] for j in perm) for row in table.rows)
-        return Table(headers=headers, rows=rows)
-    if kind in (TARGET_ROW_TOP, TARGET_ROW_MIDDLE, TARGET_ROW_BOTTOM):
-        return _shift_row(table, params["target_row"], params["insert_at"])
-    if kind in (TARGET_COL_FRONT, TARGET_COL_BACK):
-        return _shift_col(table, params["target_col"], params["insert_at"])
-    if kind == TRANSPOSE:
-        replayed, _ = transpose(table, index_headers=params["index_headers"])
-        return replayed
-    raise ValueError(f"cannot replay kind {kind!r}")
+    return Table(headers=headers, rows=tuple(grid))

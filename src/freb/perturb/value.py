@@ -3,8 +3,11 @@
 The oracle (``evaluate_aggregation``) computes the answer an aggregation
 descriptor implies, so every generated edit can be re-checked mechanically:
 answer-changing (AC) edits must flip the oracle's answer, answer-preserving
-(NC) edits must not.  ``shorten`` projects a table down to the rows and
-columns the descriptor actually reads.
+(NC) edits must not.  The SHORTENED kind projects a table down to the rows
+and columns the descriptor actually reads; value edits are searched for on
+that projection and recorded in the full table's coordinates.  Each kind's
+``plan`` holds every draw and oracle call, and its ``realize`` rebuilds the
+perturbed instance from the recorded params alone.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from ..errors import (
     UnsupportedKind,
 )
 from ..rng import Rng
-from .structure import PerturbationRecord
+from .structure import select
 
 VALUE_AC = "VALUE_AC"
 VALUE_NC = "VALUE_NC"
@@ -50,21 +53,6 @@ _MAX_ATTEMPTS = 10
 _MAX_EXACT_DIGITS = 10_000
 _EXACT = Context(prec=_MAX_EXACT_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _MEAN_DIGITS = 28
-
-
-@dataclass(frozen=True)
-class ShortenedTable:
-    """Projection of a table onto the cells an aggregation reads.
-
-    row_map/col_map give, for each shortened index, the original index it
-    came from.  ``descriptor`` is the instance's descriptor re-expressed in
-    shortened coordinates.
-    """
-
-    table: Table
-    row_map: tuple[int, ...]
-    col_map: tuple[int, ...]
-    descriptor: AggregationDescriptor
 
 
 @dataclass(frozen=True)
@@ -187,16 +175,14 @@ def evaluate_aggregation(table: Table, descriptor: AggregationDescriptor) -> str
     raise UnsupportedKind(f"no oracle for aggregation kind {kind!r}")
 
 
-def shorten(instance: QAInstance) -> tuple[ShortenedTable, PerturbationRecord]:
-    """Project the table onto the rows/columns the descriptor reads.
+def _shortened_axes(instance: QAInstance) -> tuple[list[int], list[int]]:
+    """The rows and columns the descriptor reads.
 
     Column-wide aggregations keep every row; DIFF/COMPARE_TWO keep only the
     operand rows.  Kept columns are the value column plus any label, filter,
     and operand columns, in their original order.
     """
     agg = instance.aggregation
-    if agg is None:
-        raise MissingAnnotation(f"instance {instance.id}: no aggregation descriptor")
     if agg.kind in (DIFF, COMPARE_TWO):
         rows = sorted({o.row for o in (agg.operands or ())})
     else:
@@ -208,27 +194,53 @@ def shorten(instance: QAInstance) -> tuple[ShortenedTable, PerturbationRecord]:
         cols.add(agg.filter[0])
     for o in agg.operands or ():
         cols.add(o.col)
-    col_list = sorted(cols)
+    return rows, sorted(cols)
 
-    table = Table(
-        headers=tuple(instance.table.headers[c] for c in col_list),
-        rows=tuple(tuple(instance.table.rows[r][c] for c in col_list) for r in rows),
-    )
-    row_inv = {old: new for new, old in enumerate(rows)}
-    col_inv = {old: new for new, old in enumerate(col_list)}
-    descriptor = replace(
-        agg,
-        value_col=col_inv[agg.value_col],
-        label_col=None if agg.label_col is None else col_inv[agg.label_col],
-        filter=None if agg.filter is None else (col_inv[agg.filter[0]], agg.filter[1]),
-        operands=None
-        if agg.operands is None
-        else tuple(CellCoord(row_inv[o.row], col_inv[o.col]) for o in agg.operands),
-    )
-    record = PerturbationRecord(
-        SHORTENED, 0, {"rows": rows, "cols": col_list}, source_id=instance.id
-    )
-    return ShortenedTable(table, tuple(rows), tuple(col_list), descriptor), record
+
+def plan_shortened(instance: QAInstance, rng: Rng) -> dict:
+    rows, cols = _shortened_axes(instance)
+    return {"rows": rows, "cols": cols}
+
+
+def realize_shortened(instance: QAInstance, params: dict) -> QAInstance:
+    shortened = select(instance, params["rows"], params["cols"])
+    return replace(shortened, relevant_cells=None)
+
+
+def plan_value_edit(answer_changes: bool):
+    """Plan for VALUE_AC (``answer_changes``) or VALUE_NC: search the
+    shortened table for edits, then map them back onto the full table, which
+    holds the same cells at their original spots."""
+
+    def plan(instance: QAInstance, rng: Rng) -> dict:
+        rows, cols = _shortened_axes(instance)
+        shortened = select(instance, rows, cols)
+        candidate = _ac_candidate if answer_changes else _nc_candidate
+        _, edits, new_answer = _search_edits(
+            shortened.table, shortened.aggregation, rng, candidate, answer_changes
+        )
+        params = {
+            "edits": [
+                {**e.to_json(), "row": rows[e.coord.row], "col": cols[e.coord.col]}
+                for e in edits
+            ],
+            "original_answers": list(instance.answers),
+        }
+        if answer_changes:
+            params["new_answer"] = new_answer
+        return params
+
+    return plan
+
+
+def realize_value_edit(instance: QAInstance, params: dict) -> QAInstance:
+    edits = [ValueEdit.from_json(e) for e in params["edits"]]
+    removed = {e.coord.row for e in edits if e.edit_class == ROW_REMOVAL}
+    kept = [r for r in range(instance.table.n_rows) if r not in removed]
+    # Annotations follow the kept rows; apply_edits drops the same rows.
+    perturbed = select(instance, kept, range(instance.table.n_cols))
+    answers = (params["new_answer"],) if "new_answer" in params else instance.answers
+    return replace(perturbed, table=apply_edits(instance.table, edits), answers=answers)
 
 
 def apply_edits(table: Table, edits: list[ValueEdit]) -> Table:

@@ -23,13 +23,16 @@ from freb.classify import ComparativeLexicon, classify_combined, classify_rule_b
 from freb.core import EQ, RQ, QAInstance, Table, normalize_answer, parse_number
 from freb.metrics import ORIGINAL, PredictionSet, em, emd, vp
 from freb.perturb import (
+    KINDS,
     STRUCTURE_KINDS,
+    TARGET_ROW_BOTTOM,
+    TARGET_ROW_MIDDLE,
+    TARGET_ROW_TOP,
     VALUE_AC,
     VALUE_NC,
     apply_perturbation,
     evaluate_aggregation,
     partition_indices,
-    shift_target_row,
     transpose,
 )
 from freb.perturb.structure import ROW_PARTS
@@ -87,12 +90,14 @@ def test_p2_shift_lands_in_partition_uniformly():
     )
     boundaries = partition_indices(10, 3).boundaries
     counts = {part: Counter() for part in ROW_PARTS}
+    kinds = {"TOP": TARGET_ROW_TOP, "MIDDLE": TARGET_ROW_MIDDLE, "BOTTOM": TARGET_ROW_BOTTOM}
+    plans = {part: next(s.plan for s in KINDS if s.name == kinds[part]) for part in ROW_PARTS}
 
     total = 0
     for seed in range(3334):
         for part in ROW_PARTS:
-            _, record = shift_target_row(inst, part, Rng(seed * 3 + ROW_PARTS[part]))
-            landed = record.params["insert_at"]
+            params = plans[part](inst, Rng(seed * 3 + ROW_PARTS[part]))
+            landed = params["insert_at"]
             lo, hi = boundaries[ROW_PARTS[part]]
             assert lo <= landed < hi, (part, seed, landed)
             counts[part][landed] += 1
@@ -129,7 +134,7 @@ def test_p3_transpose_round_trips_1000_tables():
         headers = [f"h{c}-{rng.randint(0, 99)}" for c in range(n_cols)]
         grid = [[rng.choice(pool) for _ in range(n_cols)] for _ in range(n_rows)]
         original = Table.from_values(headers, grid)
-        transposed, record = transpose(original)
+        transposed = transpose(original)
         assert transposed.n_rows == original.n_cols
         assert transposed.n_cols == original.n_rows + 1
         assert _recover_transposed(transposed) == original, (i, headers, grid)

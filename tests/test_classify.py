@@ -187,12 +187,14 @@ def test_cli_undecodable_secondary_reply_is_unknown(tmp_path):
     assert _classify(tmp_path, [BRANT], "--secondary-cmd", "printf '\\377EQ\\n'") == ["UNKNOWN"]
 
 
-def test_cli_failing_secondary_is_retried_then_unknown(tmp_path):
+def test_cli_failing_secondary_is_retried_then_unknown(tmp_path, capsys):
     counter = tmp_path / "calls"
-    command = f"echo call >> {shlex.quote(str(counter))}; exit 1"
+    command = f"echo call >> {shlex.quote(str(counter))}; printf 'no\\nlabel\\n' >&2; exit 1"
     labels = _classify(tmp_path, [BRANT], "--secondary-cmd", command, "--retries", "2")
     assert labels == ["UNKNOWN"]
     assert _calls(counter) == 3
+    # The reason is one line on stderr, not in the output file.
+    assert capsys.readouterr().err == f"{BRANT.id}: exit code 1: no label\n"
 
 
 def test_cli_secondary_asked_once_per_distinct_input(tmp_path):

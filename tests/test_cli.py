@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from freb.cli import main
-from freb.ingest import read_records
+from freb.ingest import instance_from_record, load_dataset, read_records
+from freb.perturb import PerturbationRecord, kind_from_name, replay
+from freb.rng import derive_seed
 
 
 def test_toydata_writes_dataset(tmp_path, toy_instances):
@@ -72,6 +74,8 @@ def test_perturb_and_evaluate_share_their_conditions(tmp_path, toy_path):
     # Both commands walk the same kinds x seeds loop: each perturb file holds
     # exactly the instances evaluate scores under that condition, and
     # skipped.jsonl is the report's per-condition skips with kind and seed.
+    # Every written instance replays from its provenance, whose derived seed
+    # is the kind's per-instance seed for every kind.
     out = tmp_path / "perturbed"
     report_path = tmp_path / "report.json"
     args = ["--kinds", "all", "--seeds", "0,1"]
@@ -79,15 +83,24 @@ def test_perturb_and_evaluate_share_their_conditions(tmp_path, toy_path):
     assert main(["evaluate", "--dataset", str(toy_path), "--out", str(report_path), *args]) == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
     all_ids = [r["id"] for r in read_records(toy_path)]
+    sources = {inst.id: inst for inst in load_dataset(toy_path)}
 
     assert len(report["conditions"]) == 14 * 2
     expected_skips = []
     for condition in report["conditions"]:
         kind, seed = condition["kind"], condition["seed"]
         skipped_ids = {s["id"] for s in condition["skipped"]}
-        ids = [r["id"] for r in read_records(out / f"{kind}.seed{seed}.jsonl")]
+        records = read_records(out / f"{kind}.seed{seed}.jsonl")
+        ids = [r["id"] for r in records]
         assert len(ids) == condition["n"]
         assert ids == [i for i in all_ids if i not in skipped_ids]
+        for record in records:
+            prov = record["provenance"]
+            assert prov["derived_seed"] == derive_seed(seed, prov["source_id"], kind.upper())
+            provenance = PerturbationRecord(
+                kind_from_name(prov["kind"]), prov["derived_seed"], prov["params"], prov["source_id"]
+            )
+            assert replay(sources[prov["source_id"]], provenance) == instance_from_record(record)
         expected_skips += [
             {"id": s["id"], "kind": kind, "seed": seed, "reason": s["reason"], "detail": s["detail"]}
             for s in condition["skipped"]

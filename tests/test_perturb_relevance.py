@@ -19,15 +19,21 @@ from freb.core import (
 from freb.errors import MissingAnnotation, NotEligible
 from freb.perturb import (
     DUMMY_VALUE,
+    KINDS,
     REMOVE_RELEVANT,
     REMOVE_TABLE,
     SHIFT_RELEVANT_ROWS,
     apply_perturbation,
-    remove_relevant_cells,
-    remove_table,
-    shift_relevant_rows,
 )
 from freb.rng import Rng
+
+SPECS = {spec.name: spec for spec in KINDS}
+
+
+def _perturb(instance, kind, rng=None):
+    """A kind's plan and realize under ``rng``: (perturbed instance, params)."""
+    params = SPECS[kind].plan(instance, rng)
+    return SPECS[kind].realize(instance, params), params
 
 
 def _rq(n_rows=6, relevant=((1, 1), (3, 0))):
@@ -49,7 +55,7 @@ def _rq(n_rows=6, relevant=((1, 1), (3, 0))):
 
 def test_remove_relevant_blanks_exactly_annotated_cells():
     inst = _rq()
-    out, record = remove_relevant_cells(inst)
+    out, params = _perturb(inst, REMOVE_RELEVANT)
     assert out.table.n_rows == inst.table.n_rows
     assert out.table.n_cols == inst.table.n_cols
     assert out.table.headers == inst.table.headers
@@ -62,7 +68,7 @@ def test_remove_relevant_blanks_exactly_annotated_cells():
     assert sorted(changed) == [(1, 1), (3, 0)]
     for r, c in changed:
         assert out.table.rows[r][c].raw == ""
-    assert record.params["blanked"] == [(1, 1), (3, 0)]
+    assert params["blanked"] == [(1, 1), (3, 0)]
 
 
 def test_remove_relevant_requires_annotation():
@@ -75,12 +81,12 @@ def test_remove_relevant_requires_annotation():
         question_type=RQ,
     )
     with pytest.raises(MissingAnnotation):
-        remove_relevant_cells(bare)
+        _perturb(bare, REMOVE_RELEVANT)
 
 
 def test_remove_relevant_keeps_question_and_answers():
     inst = _rq()
-    out, _ = remove_relevant_cells(inst)
+    out, _ = _perturb(inst, REMOVE_RELEVANT)
     assert out.question == inst.question
     assert out.answers == inst.answers
     assert out.id == inst.id
@@ -91,24 +97,24 @@ def test_remove_relevant_keeps_question_and_answers():
 
 def test_remove_table_yields_dummy_grid():
     inst = _rq()
-    out, record = remove_table(inst)
+    out, params = _perturb(inst, REMOVE_TABLE)
     assert out.table.headers == (DUMMY_VALUE,)
     assert out.table.grid_values() == [[DUMMY_VALUE]]
     assert out.answers == inst.answers
-    assert record.params["original_shape"] == [6, 2]
+    assert params["original_shape"] == [6, 2]
 
 
 def test_remove_table_drops_cell_annotations():
     inst = _rq()
-    out, _ = remove_table(inst)
+    out, _ = _perturb(inst, REMOVE_TABLE)
     assert out.relevant_cells is None
     assert out.aggregation is None
 
 
 def test_remove_table_idempotent_shape():
     inst = _rq()
-    once, _ = remove_table(inst)
-    twice, _ = remove_table(once)
+    once, _ = _perturb(inst, REMOVE_TABLE)
+    twice, _ = _perturb(once, REMOVE_TABLE)
     assert twice.table == once.table
 
 
@@ -117,7 +123,7 @@ def test_remove_table_idempotent_shape():
 
 def test_shift_relevant_rows_contiguous_and_ordered():
     inst = _rq(n_rows=8, relevant=((2, 0), (5, 1), (5, 0)))
-    out, record = shift_relevant_rows(inst, Rng(4))
+    out, params = _perturb(inst, SHIFT_RELEVANT_ROWS, Rng(4))
     assert Counter(out.table.rows) == Counter(inst.table.rows)
     # the two relevant rows must sit adjacent, original order preserved
     names = [row[0].raw for row in out.table.rows]
@@ -126,13 +132,13 @@ def test_shift_relevant_rows_contiguous_and_ordered():
     # non-relevant rows keep their relative order
     rest = [n for n in names if n not in ("n2", "n5")]
     assert rest == ["n0", "n1", "n3", "n4", "n6", "n7"]
-    assert record.params["relevant_rows"] == [2, 5]
-    assert record.params["noop"] is False
+    assert params["relevant_rows"] == [2, 5]
+    assert params["noop"] is False
 
 
 def test_shift_relevant_rows_remaps_annotations():
     inst = _rq(n_rows=8, relevant=((2, 0), (5, 1)))
-    out, _ = shift_relevant_rows(inst, Rng(12))
+    out, _ = _perturb(inst, SHIFT_RELEVANT_ROWS, Rng(12))
     assert {out.table.cell(c).raw for c in out.relevant_cells} == {
         inst.table.cell(c).raw for c in inst.relevant_cells
     }
@@ -145,17 +151,17 @@ def test_shift_relevant_rows_remaps_operands():
             kind=SUM, value_col=1, operands=(CellCoord(0, 1), CellCoord(4, 1))
         ),
     )
-    out, _ = shift_relevant_rows(inst, Rng(2))
+    out, _ = _perturb(inst, SHIFT_RELEVANT_ROWS, Rng(2))
     for before, after in zip(inst.aggregation.operands, out.aggregation.operands):
         assert out.table.cell(after).raw == inst.table.cell(before).raw
 
 
 def test_shift_relevant_rows_noop_when_all_relevant():
     inst = _rq(n_rows=2, relevant=((0, 0), (1, 0)))
-    out, record = shift_relevant_rows(inst, Rng(0))
-    assert out is inst
-    assert record.params["noop"] is True
-    assert record.params["insert_at"] is None
+    out, params = _perturb(inst, SHIFT_RELEVANT_ROWS, Rng(0))
+    assert out == inst
+    assert params["noop"] is True
+    assert params["insert_at"] is None
 
 
 def test_shift_relevant_rows_covers_every_offset():
@@ -164,19 +170,19 @@ def test_shift_relevant_rows_covers_every_offset():
     # hits them all within a few hundred draws.
     seen = set()
     for seed in range(300):
-        _, record = shift_relevant_rows(inst, Rng(seed))
-        seen.add(record.params["insert_at"])
+        _, params = _perturb(inst, SHIFT_RELEVANT_ROWS, Rng(seed))
+        seen.add(params["insert_at"])
     assert seen == {0, 1, 2, 3, 4}
 
 
 @given(st.integers(0, 2**32))
 def test_shift_relevant_rows_block_is_contiguous(seed):
     inst = _rq(n_rows=9, relevant=((1, 0), (4, 0), (7, 1)))
-    out, record = shift_relevant_rows(inst, Rng(seed))
+    out, params = _perturb(inst, SHIFT_RELEVANT_ROWS, Rng(seed))
     names = [row[0].raw for row in out.table.rows]
     positions = [names.index(f"n{r}") for r in (1, 4, 7)]
     assert positions == [positions[0], positions[0] + 1, positions[0] + 2]
-    assert 0 <= record.params["insert_at"] <= 6
+    assert 0 <= params["insert_at"] <= 6
 
 
 # --- dispatch eligibility --------------------------------------------------------
@@ -205,6 +211,6 @@ def test_shift_relevant_rows_requires_annotation_via_dispatch():
 def test_dispatch_remove_relevant_matches_direct_call():
     inst = _rq()
     via_dispatch, record = apply_perturbation(inst, REMOVE_RELEVANT, global_seed=123)
-    direct, _ = remove_relevant_cells(inst)
+    direct, _ = _perturb(inst, REMOVE_RELEVANT)
     assert via_dispatch.table == direct.table
     assert record.source_id == inst.id

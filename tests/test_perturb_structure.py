@@ -1,14 +1,32 @@
-"""Row/column rearrangement perturbations: invariants and annotation remaps."""
+"""Row/column rearrangement perturbations: invariants, annotation remaps,
+and replay of every kind from its recorded params."""
 
+import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freb.core import EQ, RQ, CellCoord, QAInstance, Table, normalize_answer
-from freb.errors import NoTargetFound, NotEligible, TooFewRows, UnsupportedKind
+from freb.core import (
+    DIFF,
+    EQ,
+    RQ,
+    AggregationDescriptor,
+    CellCoord,
+    QAInstance,
+    Table,
+    validate,
+)
+from freb.errors import NoTargetFound, NotEligible, PerturbSkip, TooFewRows, UnsupportedKind
 from freb.perturb import (
+    ALL_KINDS,
+    KINDS,
+    RELEVANCE_KINDS,
+    REMOVE_RELEVANT,
+    REMOVE_TABLE,
+    SHORTENED,
     SHUFFLE_COLS,
     SHUFFLE_ROWS,
     STRUCTURE_KINDS,
@@ -22,14 +40,20 @@ from freb.perturb import (
     kind_from_name,
     locate_target,
     partition_indices,
-    replay_table,
-    shift_target_col,
-    shift_target_row,
-    shuffle_cols,
-    shuffle_rows,
+    replay,
     transpose,
 )
 from freb.rng import Rng
+
+SPECS = {spec.name: spec for spec in KINDS}
+ROW_KINDS = {"TOP": TARGET_ROW_TOP, "MIDDLE": TARGET_ROW_MIDDLE, "BOTTOM": TARGET_ROW_BOTTOM}
+COL_KINDS = {"FRONT": TARGET_COL_FRONT, "BACK": TARGET_COL_BACK}
+
+
+def _perturb(instance, kind, rng):
+    """A kind's plan and realize under ``rng``: (perturbed instance, params)."""
+    params = SPECS[kind].plan(instance, rng)
+    return SPECS[kind].realize(instance, params), params
 
 
 def _grid(n_rows, n_cols):
@@ -38,6 +62,10 @@ def _grid(n_rows, n_cols):
 
 def _table(n_rows, n_cols):
     return Table.from_values([f"h{c}" for c in range(n_cols)], _grid(n_rows, n_cols))
+
+
+def _on(table):
+    return QAInstance(id="s-0", question="q", answers=("x",), table=table, question_type=EQ)
 
 
 def _eq_instance(answer_cell=(2, 1), n_rows=6, n_cols=3, **overrides):
@@ -120,17 +148,18 @@ def test_partition_covers_range_without_gaps(n, parts):
 @given(st.integers(0, 2**32), st.integers(0, 8), st.integers(1, 5))
 def test_shuffle_rows_preserves_row_multiset(seed, n_rows, n_cols):
     table = _table(n_rows, n_cols)
-    shuffled, record = shuffle_rows(table, Rng(seed))
+    out, params = _perturb(_on(table), SHUFFLE_ROWS, Rng(seed))
+    shuffled = out.table
     assert shuffled.headers == table.headers
     assert Counter(shuffled.rows) == Counter(table.rows)
-    perm = record.params["permutation"]
+    perm = params["permutation"]
     assert [table.rows[j] for j in perm] == list(shuffled.rows)
 
 
 @given(st.integers(0, 2**32), st.integers(0, 5), st.integers(1, 8))
 def test_shuffle_cols_keeps_header_cell_pairing(seed, n_rows, n_cols):
     table = _table(n_rows, n_cols)
-    shuffled, record = shuffle_cols(table, Rng(seed))
+    shuffled = _perturb(_on(table), SHUFFLE_COLS, Rng(seed))[0].table
     assert sorted(shuffled.headers) == sorted(table.headers)
     original_cols = {h: table.column_values(j) for j, h in enumerate(table.headers)}
     for j, h in enumerate(shuffled.headers):
@@ -152,17 +181,17 @@ def test_shuffle_remaps_relevant_cells():
 def test_shift_target_row_lands_in_part(part, part_index):
     inst = _eq_instance(answer_cell=(4, 2), n_rows=10)
     for seed in range(30):
-        out, record = shift_target_row(inst, part, Rng(seed))
+        out, params = _perturb(inst, ROW_KINDS[part], Rng(seed))
         start, stop = partition_indices(10, 3).boundaries[part_index]
-        landed = record.params["insert_at"]
+        landed = params["insert_at"]
         assert start <= landed < stop
         assert out.table.rows[landed][2].raw == inst.answers[0]
-        assert record.params["part_range"] == [start, stop]
+        assert params["part_range"] == [start, stop]
 
 
 def test_shift_target_row_keeps_other_rows_ordered():
     inst = _eq_instance(answer_cell=(3, 0), n_rows=7)
-    out, record = shift_target_row(inst, "TOP", Rng(9))
+    out, _ = _perturb(inst, TARGET_ROW_TOP, Rng(9))
     target = inst.table.rows[3]
     others = [r for r in inst.table.rows if r != target]
     assert [r for r in out.table.rows if r != target] == others
@@ -175,7 +204,7 @@ def test_shift_target_row_remaps_annotations():
         n_rows=9,
         relevant_cells=(CellCoord(5, 1), CellCoord(1, 0)),
     )
-    out, _ = shift_target_row(inst, "TOP", Rng(3))
+    out, _ = _perturb(inst, TARGET_ROW_TOP, Rng(3))
     assert {out.table.cell(c).raw for c in out.relevant_cells} == {
         inst.table.cell(c).raw for c in inst.relevant_cells
     }
@@ -184,21 +213,16 @@ def test_shift_target_row_remaps_annotations():
 def test_shift_target_row_too_few_rows():
     inst = _eq_instance(answer_cell=(1, 0), n_rows=2)
     with pytest.raises(TooFewRows):
-        shift_target_row(inst, "TOP", Rng(0))
-
-
-def test_shift_target_row_rejects_bad_part():
-    with pytest.raises(ValueError):
-        shift_target_row(_eq_instance(), "LEFT", Rng(0))
+        _perturb(inst, TARGET_ROW_TOP, Rng(0))
 
 
 @pytest.mark.parametrize("part,part_index", [("FRONT", 0), ("BACK", 1)])
 def test_shift_target_col_lands_in_part(part, part_index):
     inst = _eq_instance(answer_cell=(1, 2), n_rows=4, n_cols=5)
     for seed in range(20):
-        out, record = shift_target_col(inst, part, Rng(seed))
+        out, params = _perturb(inst, COL_KINDS[part], Rng(seed))
         start, stop = partition_indices(5, 2).boundaries[part_index]
-        landed = record.params["insert_at"]
+        landed = params["insert_at"]
         assert start <= landed < stop
         assert out.table.rows[1][landed].raw == inst.answers[0]
         assert out.table.headers[landed] == "h2"
@@ -207,7 +231,7 @@ def test_shift_target_col_lands_in_part(part, part_index):
 def test_shift_target_col_single_column_fails():
     inst = _eq_instance(answer_cell=(0, 0), n_rows=3, n_cols=1)
     with pytest.raises(TooFewRows):
-        shift_target_col(inst, "FRONT", Rng(0))
+        _perturb(inst, TARGET_COL_FRONT, Rng(0))
 
 
 # --- transpose ---------------------------------------------------------------
@@ -215,10 +239,11 @@ def test_shift_target_col_single_column_fails():
 
 def test_transpose_maps_cells():
     t = Table.from_values(["A", "B"], [["1", "2"], ["3", "4"], ["5", "6"]])
-    out, record = transpose(t)
+    out = transpose(t)
+    params = SPECS[TRANSPOSE].plan(_on(t), Rng(0))
     assert out.headers == ("0", "1", "2", "3")
     assert out.grid_values() == [["A", "1", "3", "5"], ["B", "2", "4", "6"]]
-    assert record.params["original_shape"] == [3, 2]
+    assert params["original_shape"] == [3, 2]
     # (r, c) -> (c, r + 1)
     for r in range(t.n_rows):
         for c in range(t.n_cols):
@@ -227,14 +252,14 @@ def test_transpose_maps_cells():
 
 def test_transpose_without_index_headers():
     t = Table.from_values(["A", "B"], [["1", "2"]])
-    out, _ = transpose(t, index_headers=False)
+    out = transpose(t, index_headers=False)
     assert out.headers == ("A", "1")
     assert out.grid_values() == [["B", "2"]]
 
 
 def test_transpose_zero_rows():
     t = Table.from_values(["A", "B"], [])
-    out, _ = transpose(t)
+    out = transpose(t)
     assert out.headers == ("0",)
     assert out.grid_values() == [["A"], ["B"]]
 
@@ -252,18 +277,88 @@ def _recover(transposed: Table) -> Table:
 @given(st.integers(0, 6), st.integers(1, 6))
 def test_transpose_recovery(n_rows, n_cols):
     t = _table(n_rows, n_cols)
-    out, _ = transpose(t)
+    out = transpose(t)
     assert _recover(out) == t
 
 
 # --- replay and dispatch ------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
-def test_replay_reproduces_table(kind, toy_instances):
-    inst = next(i for i in toy_instances if i.question_type == EQ)
-    out, record = apply_perturbation(inst, kind, global_seed=11)
-    assert replay_table(inst.table, record) == out.table
+def _assert_replays(inst, out, record):
+    assert validate(out) == []
+    assert replay(inst, record) == out
+    through_json = replace(record, params=json.loads(json.dumps(record.params)))
+    assert replay(inst, through_json) == out
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_replay_reproduces_table(kind, toy_instances, sorted_instances):
+    replayed = 0
+    for inst in [*toy_instances, *sorted_instances]:
+        for seed in range(5):
+            try:
+                out, record = apply_perturbation(inst, kind, global_seed=seed)
+            except PerturbSkip:
+                continue
+            _assert_replays(inst, out, record)
+            replayed += 1
+    assert replayed > 0
+
+
+_CELLS = st.sampled_from(["", "x", "15", "1,500", "-3.5", "a b"])
+
+
+@st.composite
+def _annotated_instances(draw):
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    grid = [[draw(_CELLS) for _ in range(n_cols)] for _ in range(n_rows)]
+    coords = st.builds(CellCoord, st.integers(0, max(0, n_rows - 1)), st.integers(0, n_cols - 1))
+    relevant = None
+    aggregation = None
+    if n_rows:
+        relevant = tuple(draw(st.lists(coords, max_size=4, unique=True)))
+        operands = (draw(coords), draw(coords))
+        aggregation = draw(st.sampled_from([None, AggregationDescriptor(DIFF, 0, operands=operands)]))
+    return QAInstance(
+        id=f"h-{n_rows}-{n_cols}",
+        question="q",
+        answers=(draw(st.sampled_from(["x", "1500", "zz"])),),
+        table=Table.from_values([f"h{c}" for c in range(n_cols)], grid),
+        relevant_cells=relevant,
+        aggregation=aggregation,
+    )
+
+
+@given(
+    _annotated_instances(),
+    st.sampled_from(STRUCTURE_KINDS + RELEVANCE_KINDS),
+    st.integers(0, 2**32),
+)
+def test_replay_reproduces_hypothesis_tables(inst, kind, seed):
+    inst = replace(inst, question_type=EQ if kind in STRUCTURE_KINDS else RQ)
+    try:
+        out, record = apply_perturbation(inst, kind, global_seed=seed)
+    except PerturbSkip:
+        return
+    _assert_replays(inst, out, record)
+
+
+def test_seed_invariant_kinds_are_those_whose_plans_draw_nothing(
+    toy_instances, sorted_instances
+):
+    def outcome(inst, kind, seed):
+        try:
+            return apply_perturbation(inst, kind, seed)[1].params
+        except PerturbSkip as exc:
+            return type(exc).__name__
+
+    varies = {
+        kind
+        for inst in [*toy_instances, *sorted_instances]
+        for kind in ALL_KINDS
+        if outcome(inst, kind, 0) != outcome(inst, kind, 1)
+    }
+    assert set(ALL_KINDS) - varies == {TRANSPOSE, REMOVE_RELEVANT, REMOVE_TABLE, SHORTENED}
 
 
 def test_apply_perturbation_is_deterministic():

@@ -29,7 +29,9 @@ from freb.errors import (
     TieDetected,
 )
 from freb.perturb import (
+    KINDS,
     ROW_REMOVAL,
+    SHORTENED,
     VALUE_AC,
     VALUE_NC,
     ValueEdit,
@@ -38,9 +40,16 @@ from freb.perturb import (
     evaluate_aggregation,
     modify_answer_change,
     modify_no_change,
-    shorten,
 )
 from freb.rng import Rng
+
+SHORTENED_SPEC = next(spec for spec in KINDS if spec.name == SHORTENED)
+
+
+def _shorten(instance):
+    """The SHORTENED kind's plan and realize: (shortened instance, params)."""
+    params = SHORTENED_SPEC.plan(instance, Rng(0))
+    return SHORTENED_SPEC.realize(instance, params), params
 
 SCORES = Table.from_values(
     ["Player", "Team", "Points"],
@@ -196,12 +205,12 @@ def _rq_instance(descriptor, answers, relevant=None, table=SCORES):
 
 def test_shorten_column_aggregation_keeps_all_rows():
     inst = _rq_instance(_desc(SUM, value_col=2), ("82",))
-    short, record = shorten(inst)
+    short, params = _shorten(inst)
     assert short.table.headers == ("Points",)
     assert short.table.n_rows == 4
-    assert short.row_map == (0, 1, 2, 3)
-    assert short.col_map == (2,)
-    assert record.params["cols"] == [2]
+    assert tuple(params["rows"]) == (0, 1, 2, 3)
+    assert tuple(params["cols"]) == (2,)
+    assert params["cols"] == [2]
 
 
 def test_shorten_pairwise_keeps_operand_rows_only():
@@ -212,11 +221,11 @@ def test_shorten_pairwise_keeps_operand_rows_only():
         operands=(CellCoord(1, 2), CellCoord(3, 2)),
     )
     inst = _rq_instance(d, ("Brant",))
-    short, _ = shorten(inst)
+    short, params = _shorten(inst)
     assert short.table.headers == ("Player", "Points")
     assert short.table.grid_values() == [["Brant", "24"], ["Dorn", "8"]]
-    assert short.row_map == (1, 3)
-    assert short.col_map == (0, 2)
+    assert tuple(params["rows"]) == (1, 3)
+    assert tuple(params["cols"]) == (0, 2)
 
 
 def test_shorten_descriptor_is_remapped_and_oracle_invariant():
@@ -228,8 +237,8 @@ def test_shorten_descriptor_is_remapped_and_oracle_invariant():
     ]
     for descriptor, expected in cases:
         inst = _rq_instance(descriptor, (expected,))
-        short, _ = shorten(inst)
-        assert evaluate_aggregation(short.table, short.descriptor) == expected
+        short, _ = _shorten(inst)
+        assert evaluate_aggregation(short.table, short.aggregation) == expected
 
 
 def test_shorten_requires_descriptor():
@@ -237,7 +246,7 @@ def test_shorten_requires_descriptor():
         id="v-2", question="q", answers=("x",), table=SCORES, question_type=RQ
     )
     with pytest.raises(MissingAnnotation):
-        shorten(inst)
+        apply_perturbation(inst, SHORTENED, global_seed=0)
 
 
 # --- edits ----------------------------------------------------------------------
