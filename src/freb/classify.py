@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import EQ, RQ, QAInstance, normalize_answer
+from .core import EQ, RQ, QAInstance, answer_keys
 from .errors import BackendError
 from .ingest import tokenize
 
@@ -113,7 +113,7 @@ class ComparativeLexicon:
 
 
 def _answer_in_table(instance: QAInstance) -> bool:
-    gold = {normalize_answer(a) for a in instance.answers}
+    gold = answer_keys(instance.answers)
     for row in instance.table.rows:
         for cell in row:
             if cell.key in gold:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 
 EQ = "EQ"
 RQ = "RQ"
@@ -91,6 +92,20 @@ def normalize_answer(raw: str) -> str:
     s = _WS_RUN.sub(" ", raw.strip()).lower()
     number = parse_number(s)
     return canonical_decimal(number) if number is not None else s
+
+
+def answer_keys(answers) -> frozenset[str]:
+    """The normalized forms of a set of gold answers.
+
+    Perturbed instances share their original's answers tuple, so the result
+    is cached per tuple (strings only, never an instance).
+    """
+    return _answer_keys(tuple(answers))
+
+
+@lru_cache(maxsize=1 << 16)
+def _answer_keys(answers: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(normalize_answer(a) for a in answers)
 
 
 @dataclass(frozen=True, slots=True)

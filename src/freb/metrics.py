@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .classify import ComparativeLexicon
-from .core import QAInstance, normalize_answer
+from .core import QAInstance, answer_keys, normalize_answer
 
 ORIGINAL = "ORIGINAL"
 
@@ -59,8 +59,7 @@ def _gold_map(gold: Iterable[QAInstance]) -> dict[str, tuple[str, ...]]:
 def is_correct(prediction: str | None, answers: tuple[str, ...]) -> bool:
     if prediction is None:
         return False
-    predicted = normalize_answer(prediction)
-    return any(predicted == normalize_answer(a) for a in answers)
+    return normalize_answer(prediction) in answer_keys(answers)
 
 
 def _check_ids(entries: Mapping[str, str | None], gold_ids: set[str]) -> None:

@@ -1,30 +1,37 @@
 """Single entry point for applying any perturbation kind to an instance.
 
 ``KINDS`` is the one table of perturbation kinds: each entry names a kind's
-family, the check that decides which instances it applies to, a ``plan``
-that makes every random draw and returns the kind's params, and a pure
-``realize`` that builds the perturbed instance from the original and those
-params alone.  ``apply_perturbation`` runs check, plan and realize under the
-per-instance random stream and records the provenance; ``replay`` rebuilds
-any perturbed instance from its record.  ``iter_conditions`` is the kinds x
-seeds x instances loop that ``freb perturb`` and ``freb evaluate`` share.
+family, a seed-independent ``prepare`` step that decides whether the kind
+applies to an instance and does the work that needs no random draw
+(eligibility, locating the target, the value kinds' shortened projection and
+its oracle answer), a ``plan`` that makes every random draw on top of that
+and returns the kind's params, and a pure ``realize`` that builds the
+perturbed instance from the original and those params alone.
+``apply_perturbation`` runs prepare, plan and realize for one instance under
+its random stream and records the provenance; ``replay`` rebuilds any
+perturbed instance from its record.  ``iter_conditions`` is the kinds x seeds
+x instances loop that ``freb perturb`` and ``freb evaluate`` share; it runs
+each (instance, kind)'s prepare once for all seeds, and reuses an outcome
+that made no draw (a skip, or params with their realized instance) for the
+later seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..core import EQ, RQ, QAInstance
 from ..errors import MissingAnnotation, NotEligible, PerturbSkip, UnsupportedKind
-from ..rng import Rng, derive_rng
+from ..rng import Rng, derive_rng, derive_seed
 from .relevance import (
     REMOVE_RELEVANT,
     REMOVE_TABLE,
     SHIFT_RELEVANT_ROWS,
-    plan_remove_relevant,
-    plan_remove_table,
     plan_shift_relevant_rows,
+    prepare_remove_relevant,
+    prepare_remove_table,
+    prepare_shift_relevant_rows,
     realize_remove_relevant,
     realize_remove_table,
     realize_shift_relevant_rows,
@@ -41,7 +48,8 @@ from .structure import (
     plan_shuffle_cols,
     plan_shuffle_rows,
     plan_target_shift,
-    plan_transpose,
+    prepare_target_shift,
+    prepare_transpose,
     realize_shuffle_cols,
     realize_shuffle_rows,
     realize_target_col,
@@ -52,8 +60,9 @@ from .value import (
     SHORTENED,
     VALUE_AC,
     VALUE_NC,
-    plan_shortened,
     plan_value_edit,
+    prepare_shortened,
+    prepare_value_edit,
     realize_shortened,
     realize_value_edit,
 )
@@ -73,15 +82,20 @@ class PerturbationRecord:
 
 @dataclass(frozen=True)
 class KindSpec:
-    """One perturbation kind.  ``check(instance)`` raises a PerturbSkip
-    subclass for instances the kind does not apply to; ``plan(instance,
-    rng)`` makes every draw and may raise one too; ``realize(instance,
-    params)`` is pure and returns the perturbed instance."""
+    """One perturbation kind.
+
+    ``prepare(instance)`` is the seed-independent step: it raises a
+    PerturbSkip subclass for instances the kind does not apply to, and
+    returns what ``plan`` needs (the instance itself, for the shuffles).
+    ``plan(prepared, rng)`` makes every draw and may raise a PerturbSkip too;
+    a plan that draws nothing returns the same params for every seed.
+    ``realize(instance, params)`` is pure and returns the perturbed instance.
+    """
 
     name: str
     family: str
-    check: Callable[[QAInstance], None]
-    plan: Callable[[QAInstance, Rng], dict]
+    prepare: Callable[[QAInstance], Any]
+    plan: Callable[[Any, Rng], dict]
     realize: Callable[[QAInstance, dict], QAInstance]
 
 
@@ -106,41 +120,66 @@ def _annotated(kind: str, attribute: str, what: str):
     return check
 
 
-def _structure(kind: str, plan, realize) -> KindSpec:
-    return KindSpec(kind, "structure", _question_type(kind, EQ, "extraction"), plan, realize)
+def _checked(check, prepare):
+    """The prepare step: ``check``, then the kind's own ``prepare`` if it
+    has one."""
+
+    def step(instance: QAInstance):
+        check(instance)
+        return instance if prepare is None else prepare(instance)
+
+    return step
 
 
-def _removal(kind: str, plan, realize) -> KindSpec:
-    return KindSpec(kind, "relevance", _question_type(kind, RQ, "reasoning"), plan, realize)
+def _drawless(params: dict, rng: Rng) -> dict:
+    """The plan of a kind whose prepare step already made its params."""
+    return params
 
 
-def _value(kind: str, plan, realize) -> KindSpec:
+def _structure(kind: str, prepare, plan, realize) -> KindSpec:
+    check = _question_type(kind, EQ, "extraction")
+    return KindSpec(kind, "structure", _checked(check, prepare), plan, realize)
+
+
+def _removal(kind: str, prepare, realize) -> KindSpec:
+    check = _question_type(kind, RQ, "reasoning")
+    return KindSpec(kind, "relevance", _checked(check, prepare), _drawless, realize)
+
+
+def _value(kind: str, prepare, plan, realize) -> KindSpec:
     check = _annotated(kind, "aggregation", "an aggregation descriptor")
-    return KindSpec(kind, "value", check, plan, realize)
+    return KindSpec(kind, "value", _checked(check, prepare), plan, realize)
+
+
+def _target(kind: str, axis: str, part: str, realize) -> KindSpec:
+    return _structure(kind, prepare_target_shift(axis, part), plan_target_shift, realize)
 
 
 # Canonical order: reports, output files and the group aliases follow it.
 KINDS = (
-    _structure(SHUFFLE_ROWS, plan_shuffle_rows, realize_shuffle_rows),
-    _structure(SHUFFLE_COLS, plan_shuffle_cols, realize_shuffle_cols),
-    _structure(TARGET_ROW_TOP, plan_target_shift("row", "TOP"), realize_target_row),
-    _structure(TARGET_ROW_MIDDLE, plan_target_shift("row", "MIDDLE"), realize_target_row),
-    _structure(TARGET_ROW_BOTTOM, plan_target_shift("row", "BOTTOM"), realize_target_row),
-    _structure(TARGET_COL_FRONT, plan_target_shift("col", "FRONT"), realize_target_col),
-    _structure(TARGET_COL_BACK, plan_target_shift("col", "BACK"), realize_target_col),
-    _structure(TRANSPOSE, plan_transpose, realize_transpose),
-    _removal(REMOVE_RELEVANT, plan_remove_relevant, realize_remove_relevant),
-    _removal(REMOVE_TABLE, plan_remove_table, realize_remove_table),
+    _structure(SHUFFLE_ROWS, None, plan_shuffle_rows, realize_shuffle_rows),
+    _structure(SHUFFLE_COLS, None, plan_shuffle_cols, realize_shuffle_cols),
+    _target(TARGET_ROW_TOP, "row", "TOP", realize_target_row),
+    _target(TARGET_ROW_MIDDLE, "row", "MIDDLE", realize_target_row),
+    _target(TARGET_ROW_BOTTOM, "row", "BOTTOM", realize_target_row),
+    _target(TARGET_COL_FRONT, "col", "FRONT", realize_target_col),
+    _target(TARGET_COL_BACK, "col", "BACK", realize_target_col),
+    _structure(TRANSPOSE, prepare_transpose, _drawless, realize_transpose),
+    _removal(REMOVE_RELEVANT, prepare_remove_relevant, realize_remove_relevant),
+    _removal(REMOVE_TABLE, prepare_remove_table, realize_remove_table),
     KindSpec(
         SHIFT_RELEVANT_ROWS,
         "relevance",
-        _annotated(SHIFT_RELEVANT_ROWS, "relevant_cells", "relevant-cell annotations"),
+        _checked(
+            _annotated(SHIFT_RELEVANT_ROWS, "relevant_cells", "relevant-cell annotations"),
+            prepare_shift_relevant_rows,
+        ),
         plan_shift_relevant_rows,
         realize_shift_relevant_rows,
     ),
-    _value(VALUE_AC, plan_value_edit(answer_changes=True), realize_value_edit),
-    _value(VALUE_NC, plan_value_edit(answer_changes=False), realize_value_edit),
-    _value(SHORTENED, plan_shortened, realize_shortened),
+    _value(VALUE_AC, prepare_value_edit, plan_value_edit(answer_changes=True), realize_value_edit),
+    _value(VALUE_NC, prepare_value_edit, plan_value_edit(answer_changes=False), realize_value_edit),
+    _value(SHORTENED, prepare_shortened, _drawless, realize_shortened),
 )
 
 _SPECS = {spec.name: spec for spec in KINDS}
@@ -175,9 +214,9 @@ def apply_perturbation(
 ) -> tuple[QAInstance, PerturbationRecord]:
     """Perturb one instance; raises a PerturbSkip subclass when it cannot."""
     spec = _spec(kind)
-    spec.check(instance)
+    prepared = spec.prepare(instance)
     rng = derive_rng(global_seed, instance.id, kind)
-    params = spec.plan(instance, rng)
+    params = spec.plan(prepared, rng)
     return spec.realize(instance, params), PerturbationRecord(kind, rng.seed, params, instance.id)
 
 
@@ -199,19 +238,73 @@ class Condition:
     skipped: list[dict]
 
 
+_UNPREPARED = object()
+
+
+@dataclass(frozen=True)
+class _Skipped:
+    """A seed-independent skip: its report entry serves every seed."""
+
+    entry: dict
+
+
+@dataclass(frozen=True)
+class _Fixed:
+    """The outcome of a plan that drew nothing: every seed gets these
+    params and this perturbed instance."""
+
+    perturbed: QAInstance
+    params: dict
+
+
+def _skip_entry(instance: QAInstance, exc: PerturbSkip) -> dict:
+    return {"id": instance.id, "reason": type(exc).__name__, "detail": str(exc)}
+
+
 def iter_conditions(
     instances: Sequence[QAInstance], kinds: Sequence[str], seeds: Sequence[int]
 ) -> Iterator[Condition]:
-    """Perturb every instance under each kind x seed, one condition at a time."""
+    """Perturb every instance under each kind x seed, one condition at a time.
+
+    Gives what ``apply_perturbation`` gives for each (kind, seed, instance),
+    in that order, but runs each (instance, kind)'s prepare step once, and
+    plans and realizes an (instance, kind) once when its plan draws nothing.
+    Nothing is kept past the call.
+    """
     for kind in kinds:
+        spec = _spec(kind)
+        # Per instance: the prepared input of its plan, or a _Skipped or
+        # _Fixed outcome that holds for every seed; filled at the first seed.
+        state: list = [_UNPREPARED] * len(instances)
         for seed in seeds:
             perturbed = []
             skipped = []
-            for inst in instances:
-                try:
-                    perturbed.append(apply_perturbation(inst, kind, seed))
-                except PerturbSkip as exc:
-                    skipped.append(
-                        {"id": inst.id, "reason": type(exc).__name__, "detail": str(exc)}
+            for i, inst in enumerate(instances):
+                known = state[i]
+                if known is _UNPREPARED:
+                    try:
+                        known = state[i] = spec.prepare(inst)
+                    except PerturbSkip as exc:
+                        known = state[i] = _Skipped(_skip_entry(inst, exc))
+                if isinstance(known, _Skipped):
+                    skipped.append(known.entry)
+                    continue
+                if isinstance(known, _Fixed):
+                    record = PerturbationRecord(
+                        kind, derive_seed(seed, inst.id, kind), known.params, inst.id
                     )
+                    perturbed.append((known.perturbed, record))
+                    continue
+                rng = derive_rng(seed, inst.id, kind)
+                try:
+                    params = spec.plan(known, rng)
+                except PerturbSkip as exc:
+                    skipped.append(_skip_entry(inst, exc))
+                    if not rng.drawn:
+                        state[i] = _Skipped(skipped[-1])
+                    continue
+                out = spec.realize(inst, params)
+                perturbed.append((out, PerturbationRecord(kind, rng.seed, params, inst.id)))
+                if not rng.drawn:
+                    state[i] = _Fixed(out, params)
             yield Condition(kind, seed, perturbed, skipped)

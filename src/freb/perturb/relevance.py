@@ -5,8 +5,9 @@ These operations target reasoning questions annotated with the cells the
 answer depends on.  Blanking and table removal make instances unanswerable
 on purpose — a model that still answers "correctly" is not reading the
 table.  Row displacement keeps the instance answerable but moves the
-evidence, exposing positional shortcuts.  As with every kind, ``plan`` makes
-the draws and ``realize`` rebuilds the instance from the params alone.
+evidence, exposing positional shortcuts.  As with every kind, ``prepare``
+does the seed-independent work (for the two removals, all of it), ``plan``
+makes the draws and ``realize`` rebuilds the instance from the params alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ SHIFT_RELEVANT_ROWS = "SHIFT_RELEVANT_ROWS"
 DUMMY_VALUE = "None"
 
 
-def plan_remove_relevant(instance: QAInstance, rng: Rng) -> dict:
+def prepare_remove_relevant(instance: QAInstance) -> dict:
     if not instance.relevant_cells:
         raise MissingAnnotation(f"instance {instance.id}: no relevant cells")
     return {"blanked": sorted({(c.row, c.col) for c in instance.relevant_cells})}
@@ -41,7 +42,7 @@ def realize_remove_relevant(instance: QAInstance, params: dict) -> QAInstance:
     return instance.with_table(Table(headers=instance.table.headers, rows=rows))
 
 
-def plan_remove_table(instance: QAInstance, rng: Rng) -> dict:
+def prepare_remove_table(instance: QAInstance) -> dict:
     return {"original_shape": [instance.table.n_rows, instance.table.n_cols]}
 
 
@@ -52,15 +53,20 @@ def realize_remove_table(instance: QAInstance, params: dict) -> QAInstance:
     return replace(instance, table=dummy, relevant_cells=None, aggregation=None)
 
 
-def plan_shift_relevant_rows(instance: QAInstance, rng: Rng) -> dict:
+def prepare_shift_relevant_rows(instance: QAInstance) -> tuple[list[int], int]:
+    """The relevant rows, in order, and how many other rows there are."""
+    relevant = sorted({c.row for c in instance.relevant_cells})
+    return relevant, instance.table.n_rows - len(relevant)
+
+
+def plan_shift_relevant_rows(prepared: tuple[list[int], int], rng: Rng) -> dict:
     """Pull out the rows holding relevant cells and re-insert them, still in
     order and contiguous, at a uniformly random offset among the rest.
 
     When every row is relevant there is nowhere to move: nothing is drawn,
     ``insert_at`` is None and the params are marked a no-op.
     """
-    relevant = sorted({c.row for c in instance.relevant_cells})
-    others = instance.table.n_rows - len(relevant)
+    relevant, others = prepared
     return {
         "relevant_rows": relevant,
         "insert_at": rng.randrange(0, others + 1) if others else None,

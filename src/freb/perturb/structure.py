@@ -2,18 +2,20 @@
 
 Shuffling, target-row/column shifting, and transposing never change the
 question or answers; they only rearrange where the evidence sits.  Each kind
-is a ``plan`` that makes every random draw and returns JSON-able params, and
-a pure ``realize`` that rebuilds the perturbed instance from those params
-alone.  ``select`` is the row/column selector most realizes (structure,
-relevance and value alike) go through; it is the one place annotation
-coordinates are re-expressed in a perturbed table's coordinates.
+has a seed-independent ``prepare`` (the target shifts locate the target and
+the part's slots there; transpose's params are all known there), a ``plan``
+that makes every random draw and returns JSON-able params, and a pure
+``realize`` that rebuilds the perturbed instance from those params alone.
+``select`` is the row/column selector most realizes (structure, relevance
+and value alike) go through; it is the one place annotation coordinates are
+re-expressed in a perturbed table's coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core import AggregationDescriptor, Cell, CellCoord, QAInstance, Table, normalize_answer
+from ..core import AggregationDescriptor, Cell, CellCoord, QAInstance, Table, answer_keys
 from ..errors import NoTargetFound, TooFewRows
 from ..rng import Rng
 
@@ -49,7 +51,7 @@ def locate_target(instance: QAInstance) -> TargetLocation:
     Header cells are never targets.  More than one match sets the ambiguous
     flag; no match raises NoTargetFound.
     """
-    gold = {normalize_answer(a) for a in instance.answers}
+    gold = answer_keys(instance.answers)
     matches = []
     for r, row in enumerate(instance.table.rows):
         for c, cell in enumerate(row):
@@ -84,14 +86,8 @@ def select(instance: QAInstance, rows, cols) -> QAInstance:
     cell that is left out is dropped, and a descriptor that reads a left-out
     row or column becomes None.
     """
-    table = instance.table
     rows, cols = list(rows), list(cols)
-    if cols == list(range(table.n_cols)):  # whole rows, so share them too
-        grid = tuple(table.rows[r] for r in rows)
-    else:
-        grid = tuple(tuple(table.rows[r][c] for c in cols) for r in rows)
-    row_of = dict(zip(rows, range(len(rows))))
-    col_of = dict(zip(cols, range(len(cols))))
+    row_of, col_of = _positions(rows), _positions(cols)
     relevant = instance.relevant_cells
     if relevant is not None:
         relevant = tuple(
@@ -100,10 +96,34 @@ def select(instance: QAInstance, rows, cols) -> QAInstance:
             if c.row in row_of and c.col in col_of
         )
     return instance.with_table(
-        Table(headers=tuple(table.headers[c] for c in cols), rows=grid),
+        _select_table(instance.table, rows, cols),
         relevant_cells=relevant,
         aggregation=_select_descriptor(instance.aggregation, row_of, col_of),
     )
+
+
+def project(instance: QAInstance, rows: list[int], cols: list[int]) -> QAInstance:
+    """``select`` for a result that keeps no relevant cells: they are
+    dropped, not remapped."""
+    return replace(
+        instance,
+        table=_select_table(instance.table, rows, cols),
+        relevant_cells=None,
+        aggregation=_select_descriptor(instance.aggregation, _positions(rows), _positions(cols)),
+    )
+
+
+def _select_table(table: Table, rows: list[int], cols: list[int]) -> Table:
+    """``table`` over ``rows`` and ``cols``, in that order, sharing its cells."""
+    if cols == list(range(table.n_cols)):  # whole rows, so share them too
+        grid = tuple(table.rows[r] for r in rows)
+    else:
+        grid = tuple(tuple(table.rows[r][c] for c in cols) for r in rows)
+    return Table(headers=tuple(table.headers[c] for c in cols), rows=grid)
+
+
+def _positions(indices: list[int]) -> dict[int, int]:
+    return dict(zip(indices, range(len(indices))))
 
 
 def _select_descriptor(
@@ -146,26 +166,46 @@ def realize_shuffle_cols(instance: QAInstance, params: dict) -> QAInstance:
     return select(instance, range(instance.table.n_rows), params["permutation"])
 
 
-def plan_target_shift(axis: str, part: str):
-    """Plan for moving the answer-bearing row (``axis`` "row", a ROW_PARTS
-    third) or column ("col", a COL_PARTS half) to a random slot of ``part``;
-    everything else keeps its relative order."""
+@dataclass(frozen=True)
+class TargetSlots:
+    """What a target shift knows before its draw: the answer-bearing row or
+    column (``key`` names it in the params) and the part's slots
+    ``[start, stop)``."""
+
+    key: str
+    target: int
+    start: int
+    stop: int
+    ambiguous: bool
+
+
+def prepare_target_shift(axis: str, part: str):
+    """Seed-independent step for moving the answer-bearing row (``axis``
+    "row", to a ROW_PARTS third) or column ("col", to a COL_PARTS half)."""
     parts, noun = (ROW_PARTS, "rows") if axis == "row" else (COL_PARTS, "columns")
 
-    def plan(instance: QAInstance, rng: Rng) -> dict:
+    def prepare(instance: QAInstance) -> TargetSlots:
         location = locate_target(instance)
         n = instance.table.n_rows if axis == "row" else instance.table.n_cols
         if n < len(parts):
             raise TooFewRows(f"instance {instance.id}: {n} {noun}, need >= {len(parts)}")
         start, stop = partition_indices(n, len(parts)).boundaries[parts[part]]
-        return {
-            f"target_{axis}": getattr(location, axis),
-            "insert_at": rng.randrange(start, stop),
-            "part_range": [start, stop],
-            "ambiguous": location.ambiguous,
-        }
+        return TargetSlots(
+            f"target_{axis}", getattr(location, axis), start, stop, location.ambiguous
+        )
 
-    return plan
+    return prepare
+
+
+def plan_target_shift(slots: TargetSlots, rng: Rng) -> dict:
+    """Draw the slot the target moves to; everything else keeps its
+    relative order."""
+    return {
+        slots.key: slots.target,
+        "insert_at": rng.randrange(slots.start, slots.stop),
+        "part_range": [slots.start, slots.stop],
+        "ambiguous": slots.ambiguous,
+    }
 
 
 def realize_target_row(instance: QAInstance, params: dict) -> QAInstance:
@@ -182,7 +222,7 @@ def realize_target_col(instance: QAInstance, params: dict) -> QAInstance:
     return select(instance, rows, cols)
 
 
-def plan_transpose(instance: QAInstance, rng: Rng) -> dict:
+def prepare_transpose(instance: QAInstance) -> dict:
     return {
         "index_headers": True,
         "original_shape": [instance.table.n_rows, instance.table.n_cols],

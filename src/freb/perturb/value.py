@@ -6,8 +6,10 @@ answer-changing (AC) edits must flip the oracle's answer, answer-preserving
 (NC) edits must not.  The SHORTENED kind projects a table down to the rows
 and columns the descriptor actually reads; value edits are searched for on
 that projection and recorded in the full table's coordinates.  Each kind's
-``plan`` holds every draw and oracle call, and its ``realize`` rebuilds the
-perturbed instance from the recorded params alone.
+``prepare`` does the seed-independent work (the projection, and the
+oracle's answer on it), its ``plan`` holds every draw and the oracle calls
+on edited tables, and its ``realize`` rebuilds the perturbed instance from
+the recorded params alone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..errors import (
     UnsupportedKind,
 )
 from ..rng import Rng
-from .structure import select
+from .structure import project, select
 
 VALUE_AC = "VALUE_AC"
 VALUE_NC = "VALUE_NC"
@@ -197,34 +199,56 @@ def _shortened_axes(instance: QAInstance) -> tuple[list[int], list[int]]:
     return rows, sorted(cols)
 
 
-def plan_shortened(instance: QAInstance, rng: Rng) -> dict:
+def prepare_shortened(instance: QAInstance) -> dict:
     rows, cols = _shortened_axes(instance)
     return {"rows": rows, "cols": cols}
 
 
 def realize_shortened(instance: QAInstance, params: dict) -> QAInstance:
-    shortened = select(instance, params["rows"], params["cols"])
-    return replace(shortened, relevant_cells=None)
+    return project(instance, params["rows"], params["cols"])
+
+
+@dataclass(frozen=True)
+class Projection:
+    """A value edit's seed-independent part: the shortened instance, the
+    full table's ``rows`` and ``cols`` it keeps, and the normalized oracle
+    answer on it."""
+
+    rows: list[int]
+    cols: list[int]
+    shortened: QAInstance
+    answer_key: str
+
+
+def prepare_value_edit(instance: QAInstance) -> Projection:
+    params = prepare_shortened(instance)
+    shortened = realize_shortened(instance, params)
+    answer_key = _answer_key(shortened.table, shortened.aggregation)
+    return Projection(params["rows"], params["cols"], shortened, answer_key)
 
 
 def plan_value_edit(answer_changes: bool):
     """Plan for VALUE_AC (``answer_changes``) or VALUE_NC: search the
     shortened table for edits, then map them back onto the full table, which
     holds the same cells at their original spots."""
+    candidate = _ac_candidate if answer_changes else _nc_candidate
 
-    def plan(instance: QAInstance, rng: Rng) -> dict:
-        rows, cols = _shortened_axes(instance)
-        shortened = select(instance, rows, cols)
-        candidate = _ac_candidate if answer_changes else _nc_candidate
+    def plan(projection: Projection, rng: Rng) -> dict:
+        shortened, rows, cols = projection.shortened, projection.rows, projection.cols
         _, edits, new_answer = _search_edits(
-            shortened.table, shortened.aggregation, rng, candidate, answer_changes
+            shortened.table,
+            shortened.aggregation,
+            projection.answer_key,
+            rng,
+            candidate,
+            answer_changes,
         )
         params = {
             "edits": [
                 {**e.to_json(), "row": rows[e.coord.row], "col": cols[e.coord.col]}
                 for e in edits
             ],
-            "original_answers": list(instance.answers),
+            "original_answers": list(shortened.answers),
         }
         if answer_changes:
             params["new_answer"] = new_answer
@@ -235,12 +259,14 @@ def plan_value_edit(answer_changes: bool):
 
 def realize_value_edit(instance: QAInstance, params: dict) -> QAInstance:
     edits = [ValueEdit.from_json(e) for e in params["edits"]]
+    table = apply_edits(instance.table, edits)
     removed = {e.coord.row for e in edits if e.edit_class == ROW_REMOVAL}
-    kept = [r for r in range(instance.table.n_rows) if r not in removed]
-    # Annotations follow the kept rows; apply_edits drops the same rows.
-    perturbed = select(instance, kept, range(instance.table.n_cols))
+    if removed:
+        # Annotations follow the kept rows; apply_edits dropped the same rows.
+        kept = [r for r in range(instance.table.n_rows) if r not in removed]
+        instance = select(instance, kept, range(instance.table.n_cols))
     answers = (params["new_answer"],) if "new_answer" in params else instance.answers
-    return replace(perturbed, table=apply_edits(instance.table, edits), answers=answers)
+    return replace(instance, table=table, answers=answers)
 
 
 def apply_edits(table: Table, edits: list[ValueEdit]) -> Table:
@@ -409,21 +435,29 @@ def modify_answer_change(
 ) -> tuple[Table, list[ValueEdit], str]:
     """Edit at most two cells so the oracle's answer changes; the new answer
     is re-derived by running the oracle on the edited table."""
-    return _search_edits(table, descriptor, rng, _ac_candidate, answer_changes=True)
+    key = _answer_key(table, descriptor)
+    return _search_edits(table, descriptor, key, rng, _ac_candidate, answer_changes=True)
 
 
 def modify_no_change(
     table: Table, descriptor: AggregationDescriptor, rng: Rng
 ) -> tuple[Table, list[ValueEdit]]:
     """Edit at most two cells while provably keeping the oracle's answer."""
-    edited, edits, _ = _search_edits(table, descriptor, rng, _nc_candidate, answer_changes=False)
+    key = _answer_key(table, descriptor)
+    edited, edits, _ = _search_edits(
+        table, descriptor, key, rng, _nc_candidate, answer_changes=False
+    )
     return edited, edits
 
 
-def _search_edits(table, descriptor, rng, candidate, answer_changes: bool):
+def _answer_key(table: Table, descriptor: AggregationDescriptor) -> str:
+    return normalize_answer(evaluate_aggregation(table, descriptor))
+
+
+def _search_edits(table, descriptor, original_key, rng, candidate, answer_changes: bool):
     """Draw up to _MAX_ATTEMPTS candidate edits until one changes (or keeps)
-    the oracle's answer; returns (edited table, edits, new answer)."""
-    original_key = normalize_answer(evaluate_aggregation(table, descriptor))
+    the oracle's answer, ``original_key`` when normalized; returns (edited
+    table, edits, new answer)."""
     for _ in range(_MAX_ATTEMPTS):
         edits = candidate(table, descriptor, rng)
         edited = apply_edits(table, edits)

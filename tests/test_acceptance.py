@@ -91,12 +91,13 @@ def test_p2_shift_lands_in_partition_uniformly():
     boundaries = partition_indices(10, 3).boundaries
     counts = {part: Counter() for part in ROW_PARTS}
     kinds = {"TOP": TARGET_ROW_TOP, "MIDDLE": TARGET_ROW_MIDDLE, "BOTTOM": TARGET_ROW_BOTTOM}
-    plans = {part: next(s.plan for s in KINDS if s.name == kinds[part]) for part in ROW_PARTS}
+    specs = {part: next(s for s in KINDS if s.name == kinds[part]) for part in ROW_PARTS}
+    prepared = {part: specs[part].prepare(inst) for part in ROW_PARTS}
 
     total = 0
     for seed in range(3334):
         for part in ROW_PARTS:
-            params = plans[part](inst, Rng(seed * 3 + ROW_PARTS[part]))
+            params = specs[part].plan(prepared[part], Rng(seed * 3 + ROW_PARTS[part]))
             landed = params["insert_at"]
             lo, hi = boundaries[ROW_PARTS[part]]
             assert lo <= landed < hi, (part, seed, landed)

@@ -1,0 +1,146 @@
+"""The shared condition loop against the one-instance path.
+
+``iter_conditions`` runs each (instance, kind)'s seed-independent prepare
+step once and reuses the outcome of a plan that drew nothing; these tests
+check that it still gives exactly what ``apply_perturbation`` gives, and
+that the work it saves is really done only once.
+"""
+
+import gc
+import importlib
+import weakref
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from freb.core import EQ
+from freb.errors import PerturbSkip
+from freb.ingest import load_dataset
+from freb.perturb import (
+    ALL_KINDS,
+    REMOVE_RELEVANT,
+    REMOVE_TABLE,
+    SHIFT_RELEVANT_ROWS,
+    SHORTENED,
+    TARGET_COL_BACK,
+    TARGET_COL_FRONT,
+    TARGET_ROW_BOTTOM,
+    TARGET_ROW_MIDDLE,
+    TARGET_ROW_TOP,
+    TRANSPOSE,
+    apply_perturbation,
+    iter_conditions,
+)
+from freb.rng import derive_seed
+
+SEEDS = range(5)
+TARGET_KINDS = {
+    TARGET_ROW_TOP, TARGET_ROW_MIDDLE, TARGET_ROW_BOTTOM, TARGET_COL_FRONT, TARGET_COL_BACK
+}
+NO_DRAW_KINDS = {TRANSPOSE, REMOVE_RELEVANT, REMOVE_TABLE, SHORTENED}
+
+apply_module = importlib.import_module("freb.perturb.apply")
+structure_module = importlib.import_module("freb.perturb.structure")
+
+
+def _one_at_a_time(instances, kinds, seeds):
+    """(kind, seed, perturbed, skipped) per condition via apply_perturbation."""
+    for kind in kinds:
+        for seed in seeds:
+            perturbed, skipped = [], []
+            for inst in instances:
+                try:
+                    perturbed.append(apply_perturbation(inst, kind, seed))
+                except PerturbSkip as exc:
+                    skipped.append(
+                        {"id": inst.id, "reason": type(exc).__name__, "detail": str(exc)}
+                    )
+            yield kind, seed, perturbed, skipped
+
+
+@pytest.mark.parametrize("dataset", ["toy_instances", "sorted_instances"])
+def test_iter_conditions_equals_apply_perturbation(dataset, request):
+    instances = request.getfixturevalue(dataset)
+    shared = [
+        (c.kind, c.seed, c.perturbed, c.skipped)
+        for c in iter_conditions(instances, ALL_KINDS, SEEDS)
+    ]
+    expected = list(_one_at_a_time(instances, ALL_KINDS, SEEDS))
+    assert [c[:2] for c in shared] == [c[:2] for c in expected]
+    for got, want in zip(shared, expected):
+        # Instances, records (kind, seed, params, source id) and skip entries.
+        assert got == want, got[:2]
+
+
+def _counting_specs(monkeypatch, calls):
+    """Wrap every kind's prepare and realize to count (step, id, kind) and
+    locate_target to count (id, kind of the prepare it runs in)."""
+    current = {}
+
+    def counted_prepare(spec):
+        def prepare(instance):
+            current["kind"] = spec.name
+            calls[("prepare", instance.id, spec.name)] += 1
+            return spec.prepare(instance)
+
+        return prepare
+
+    def counted_realize(spec):
+        def realize(instance, params):
+            calls[("realize", instance.id, spec.name)] += 1
+            return spec.realize(instance, params)
+
+        return realize
+
+    plain_locate = structure_module.locate_target
+
+    def locate_target(instance):
+        calls[("locate_target", instance.id, current.get("kind"))] += 1
+        return plain_locate(instance)
+
+    monkeypatch.setattr(structure_module, "locate_target", locate_target)
+    for name, spec in list(apply_module._SPECS.items()):
+        monkeypatch.setitem(
+            apply_module._SPECS,
+            name,
+            replace(spec, prepare=counted_prepare(spec), realize=counted_realize(spec)),
+        )
+
+
+def test_seed_independent_work_runs_once(monkeypatch, toy_instances, sorted_instances):
+    instances = [*toy_instances, *sorted_instances]
+    calls = Counter()
+    _counting_specs(monkeypatch, calls)
+    perturbed, no_draw = Counter(), Counter()
+    for condition in iter_conditions(instances, ALL_KINDS, SEEDS):
+        for _, record in condition.perturbed:
+            key = (record.source_id, record.kind)
+            perturbed[key] += 1
+            assert record.seed == derive_seed(condition.seed, *key)
+            if record.kind in NO_DRAW_KINDS or record.params.get("noop"):
+                no_draw[key] += 1
+
+    for inst in instances:
+        for kind in ALL_KINDS:
+            key = (inst.id, kind)
+            assert calls[("prepare", *key)] == 1, key
+            located = kind in TARGET_KINDS and inst.question_type == EQ
+            assert calls[("locate_target", *key)] == located, key
+            if no_draw[key]:
+                assert no_draw[key] == len(SEEDS), key
+                assert calls[("realize", *key)] == 1, key
+            else:
+                assert calls[("realize", *key)] == perturbed[key], key
+    # Every no-draw outcome the test relies on really occurs.
+    assert {kind for _, kind in no_draw} == NO_DRAW_KINDS | {SHIFT_RELEVANT_ROWS}
+
+
+def test_iter_conditions_keeps_no_instance_alive(toy_path):
+    instances = load_dataset(toy_path)
+    refs = [weakref.ref(inst) for inst in instances]
+    for condition in iter_conditions(instances, ALL_KINDS, SEEDS):
+        assert condition.perturbed or condition.skipped
+    del instances, condition
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []

@@ -31,9 +31,11 @@ SPECS = {spec.name: spec for spec in KINDS}
 
 
 def _perturb(instance, kind, rng=None):
-    """A kind's plan and realize under ``rng``: (perturbed instance, params)."""
-    params = SPECS[kind].plan(instance, rng)
-    return SPECS[kind].realize(instance, params), params
+    """A kind's prepare, plan and realize under ``rng``: (perturbed instance,
+    params)."""
+    spec = SPECS[kind]
+    params = spec.plan(spec.prepare(instance), rng)
+    return spec.realize(instance, params), params
 
 
 def _rq(n_rows=6, relevant=((1, 1), (3, 0))):

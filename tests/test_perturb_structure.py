@@ -51,9 +51,11 @@ COL_KINDS = {"FRONT": TARGET_COL_FRONT, "BACK": TARGET_COL_BACK}
 
 
 def _perturb(instance, kind, rng):
-    """A kind's plan and realize under ``rng``: (perturbed instance, params)."""
-    params = SPECS[kind].plan(instance, rng)
-    return SPECS[kind].realize(instance, params), params
+    """A kind's prepare, plan and realize under ``rng``: (perturbed instance,
+    params)."""
+    spec = SPECS[kind]
+    params = spec.plan(spec.prepare(instance), rng)
+    return spec.realize(instance, params), params
 
 
 def _grid(n_rows, n_cols):
@@ -240,7 +242,7 @@ def test_shift_target_col_single_column_fails():
 def test_transpose_maps_cells():
     t = Table.from_values(["A", "B"], [["1", "2"], ["3", "4"], ["5", "6"]])
     out = transpose(t)
-    params = SPECS[TRANSPOSE].plan(_on(t), Rng(0))
+    params = _perturb(_on(t), TRANSPOSE, Rng(0))[1]
     assert out.headers == ("0", "1", "2", "3")
     assert out.grid_values() == [["A", "1", "3", "5"], ["B", "2", "4", "6"]]
     assert params["original_shape"] == [3, 2]

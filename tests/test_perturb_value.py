@@ -47,8 +47,9 @@ SHORTENED_SPEC = next(spec for spec in KINDS if spec.name == SHORTENED)
 
 
 def _shorten(instance):
-    """The SHORTENED kind's plan and realize: (shortened instance, params)."""
-    params = SHORTENED_SPEC.plan(instance, Rng(0))
+    """The SHORTENED kind's prepare, plan and realize: (shortened instance,
+    params)."""
+    params = SHORTENED_SPEC.plan(SHORTENED_SPEC.prepare(instance), Rng(0))
     return SHORTENED_SPEC.realize(instance, params), params
 
 SCORES = Table.from_values(
