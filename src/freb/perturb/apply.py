@@ -11,9 +11,8 @@ perturbed instance from the original and those params alone.
 its random stream and records the provenance; ``replay`` rebuilds any
 perturbed instance from its record.  ``iter_conditions`` is the kinds x seeds
 x instances loop that ``freb perturb`` and ``freb evaluate`` share; it runs
-each (instance, kind)'s prepare once for all seeds, and reuses an outcome
-that made no draw (a skip, or params with their realized instance) for the
-later seeds.
+each (instance, kind)'s prepare once for all seeds, and reuses the params
+and realized instance of a plan that made no draw for the later seeds.
 """
 
 from __future__ import annotations
@@ -243,7 +242,7 @@ _UNPREPARED = object()
 
 @dataclass(frozen=True)
 class _Skipped:
-    """A seed-independent skip: its report entry serves every seed."""
+    """A skip the prepare step raised: its report entry serves every seed."""
 
     entry: dict
 
@@ -273,8 +272,8 @@ def iter_conditions(
     """
     for kind in kinds:
         spec = _spec(kind)
-        # Per instance: the prepared input of its plan, or a _Skipped or
-        # _Fixed outcome that holds for every seed; filled at the first seed.
+        # Per instance, filled at the first seed: the prepared input of its
+        # plan, or a _Skipped or _Fixed outcome that holds for every seed.
         state: list = [_UNPREPARED] * len(instances)
         for seed in seeds:
             perturbed = []
@@ -300,8 +299,6 @@ def iter_conditions(
                     params = spec.plan(known, rng)
                 except PerturbSkip as exc:
                     skipped.append(_skip_entry(inst, exc))
-                    if not rng.drawn:
-                        state[i] = _Skipped(skipped[-1])
                     continue
                 out = spec.realize(inst, params)
                 perturbed.append((out, PerturbationRecord(kind, rng.seed, params, inst.id)))
