@@ -223,6 +223,8 @@ def realize_target_col(instance: QAInstance, params: dict) -> QAInstance:
 
 
 def prepare_transpose(instance: QAInstance) -> dict:
+    # transpose writes one layout, index headers; the params still name it so
+    # that existing records and ``freb perturb`` output stay byte-identical.
     return {
         "index_headers": True,
         "original_shape": [instance.table.n_rows, instance.table.n_cols],
@@ -233,16 +235,16 @@ def prepare_transpose(instance: QAInstance) -> dict:
 def realize_transpose(instance: QAInstance, params: dict) -> QAInstance:
     # Rows and columns swap roles, so cell annotations no longer describe a
     # grid this schema can express; they are dropped and noted.
-    table = transpose(instance.table, index_headers=params["index_headers"])
-    return replace(instance, table=table, relevant_cells=None, aggregation=None)
+    return replace(
+        instance, table=transpose(instance.table), relevant_cells=None, aggregation=None
+    )
 
 
-def transpose(table: Table, index_headers: bool = True) -> Table:
+def transpose(table: Table) -> Table:
     """Rotate the table: original cell (r, c) lands at (c, r + 1).
 
-    With index_headers (the default) the new header row is "0", "1", ... and
-    the original headers become the first data column.  With it off, the
-    first row of the rotated grid is promoted to headers instead.
+    The new header row is "0", "1", ... and the original headers become the
+    first data column.
     """
     n_rows, n_cols = table.n_rows, table.n_cols
     # Cells move, so they are reused rather than parsed again.
@@ -250,10 +252,4 @@ def transpose(table: Table, index_headers: bool = True) -> Table:
         (Cell(table.headers[c]),) + tuple(table.rows[r][c] for r in range(n_rows))
         for c in range(n_cols)
     ]
-    if index_headers:
-        headers = tuple(str(i) for i in range(n_rows + 1))
-        grid = rotated
-    else:
-        headers = tuple(cell.raw for cell in rotated[0]) if rotated else ()
-        grid = rotated[1:]
-    return Table(headers=headers, rows=tuple(grid))
+    return Table(headers=tuple(str(i) for i in range(n_rows + 1)), rows=tuple(rotated))

@@ -337,8 +337,8 @@ def _ac_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         row = rng.choice(matching)
         if rng.random() < 0.5:
             return [ValueEdit(CellCoord(row, col), table.rows[row][col].raw, "", ROW_REMOVAL)]
-        pool = [table.rows[r][col].raw for r in range(table.n_rows)]
-        return [_edit(table, row, col, _replacement_string(pool, needle, rng), STRING)]
+        new = _replacement_string(table.column_values(col), needle, rng)
+        return [_edit(table, row, col, new, STRING)]
     if kind in (SUM, AVG):
         if table.n_rows == 0:
             raise CannotPerturb(f"{kind} over an empty table")
@@ -394,8 +394,8 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         if choice == "attribute":
             row = rng.randrange(0, table.n_rows)
             c = rng.choice(other_cols)
-            pool = [table.rows[r][c].raw for r in range(table.n_rows)]
-            return [_edit(table, row, c, _replacement_string(pool, table.rows[row][c].raw, rng), STRING)]
+            new = _replacement_string(table.column_values(c), table.rows[row][c].raw, rng)
+            return [_edit(table, row, c, new, STRING)]
         row = rng.choice(non_matching)
         pool = [table.rows[r][col].raw for r in non_matching]
         new = _replacement_string(pool, table.rows[row][col].raw, rng)
@@ -418,8 +418,8 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         if not candidates:
             raise CannotPerturb(f"{kind} table has no non-operand string cell")
         row, c = rng.choice(candidates)
-        pool = [table.rows[r][c].raw for r in range(table.n_rows)]
-        return [_edit(table, row, c, _replacement_string(pool, table.rows[row][c].raw, rng), STRING)]
+        new = _replacement_string(table.column_values(c), table.rows[row][c].raw, rng)
+        return [_edit(table, row, c, new, STRING)]
     if kind == COMPARE_TWO:
         a, b = d.operands
         va = _numeric(table, a.row, a.col)

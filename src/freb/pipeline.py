@@ -9,6 +9,7 @@ keys — identical configs produce byte-identical reports.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,10 +20,8 @@ from .errors import ConfigError, DatasetError
 from .ingest import load_dataset
 from .metrics import (
     ORIGINAL,
-    PredictionSet,
     VpResult,
     aggregate_seeds,
-    em,
     emd,
     gap_from_correctness,
     is_correct,
@@ -185,8 +184,6 @@ def run_pipeline(config: RunConfig) -> dict:
         raise DatasetError("no instances left to evaluate after length filtering")
 
     original_entries, original_failures = backend.predictions_for((ORIGINAL, 0), kept)
-    original_preds = PredictionSet(backend.model_id, (ORIGINAL, 0), original_entries)
-    em_original = em(original_preds, kept)
     original_correct = {
         inst.id: is_correct(original_entries.get(inst.id), inst.answers) for inst in kept
     }
@@ -202,6 +199,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "model": backend.model_id,
         "config": {
             "dataset": str(config.dataset),
+            "dataset_sha256": hashlib.sha256(config.dataset.read_bytes()).hexdigest(),
             "kinds": [k.lower() for k in config.kinds],
             "seeds": list(config.seeds),
             "backend": config.backend,
@@ -212,7 +210,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "n_scored": len(kept),
         "dropped_by_length": [inst.id for inst in dropped],
         "original": {
-            "em": em_original,
+            "em": sum(original_correct.values()) / len(kept),
             "n": len(kept),
             "failures": dict(sorted(original_failures.items())),
         },

@@ -75,9 +75,6 @@ class Rng:
         """Uniform integer in [a, b], both ends inclusive."""
         return self.randrange(a, b + 1)
 
-    def uniform(self, a: float, b: float) -> float:
-        return a + (b - a) * self.random()
-
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
 

@@ -3,17 +3,21 @@
 Two sets are generated (``freb toydata`` writes either one as JSONL):
 
 * the main set — extraction questions plus reasoning questions covering
-  every aggregation kind, each with gold answers computed by the same
-  executable oracle the faithful reference model uses;
+  every aggregation kind;
 * the sorted set — tables ordered by their value column so the extremal row
   is always last, which lets positionally biased readers look competent
   until the relevant rows are moved.
 
-Everything is derived from fixed seeds; regenerating produces identical
-files byte for byte.
+Every reasoning question goes through ``_reasoning``, the one builder that
+takes its gold answer from the same executable oracle the faithful
+reference model uses and checks the instance; each generator only draws a
+table, a descriptor and the relevant cells.  Everything is derived from
+fixed seeds; regenerating produces identical files byte for byte.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .core import (
     ARGMAX,
@@ -76,6 +80,11 @@ def _unique_ints(rng: Rng, lo: int, hi: int, k: int) -> list[int]:
     return _sample(rng, range(lo, hi), k)
 
 
+def _table(headers, *columns) -> Table:
+    """A table whose columns are the given equal-length value lists."""
+    return Table.from_values(headers, zip(*columns))
+
+
 def _finish(instance: QAInstance) -> QAInstance:
     problems = validate(instance)
     if problems:
@@ -83,8 +92,23 @@ def _finish(instance: QAInstance) -> QAInstance:
     return instance
 
 
-def _eq_instances() -> list[QAInstance]:
-    out = []
+def _reasoning(iid, question, table, agg, relevant, source="toy") -> QAInstance:
+    """A checked reasoning instance whose gold answer is the oracle's."""
+    return _finish(
+        QAInstance(
+            id=iid,
+            question=question,
+            answers=(evaluate_aggregation(table, agg),),
+            table=table,
+            question_type=RQ,
+            relevant_cells=tuple(relevant),
+            aggregation=agg,
+            source=source,
+        )
+    )
+
+
+def _eq_instances() -> Iterator[QAInstance]:
     for i in range(80):
         rng = _rng(f"eq-{i}")
         n = rng.randint(4, 9)
@@ -92,8 +116,7 @@ def _eq_instances() -> list[QAInstance]:
         cities = _sample(rng, CITIES, n)
         points = _unique_ints(rng, 5, 199, n)
         coaches = _sample(rng, COACHES, n)
-        grid = [[teams[r], cities[r], str(points[r]), coaches[r]] for r in range(n)]
-        table = Table.from_values(["Team", "City", "Points", "Coach"], grid)
+        table = _table(["Team", "City", "Points", "Coach"], teams, cities, points, coaches)
         row = rng.randrange(0, n)
         variant = i % 3
         if variant == 0:
@@ -105,57 +128,40 @@ def _eq_instances() -> list[QAInstance]:
         else:
             question = f"Who coaches the {teams[row]}?"
             answer = coaches[row]
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"toy-eq-{i:03d}",
-                    question=question,
-                    answers=(answer,),
-                    table=table,
-                    question_type=EQ,
-                    source="toy",
-                )
+        yield _finish(
+            QAInstance(
+                id=f"toy-eq-{i:03d}",
+                question=question,
+                answers=(answer,),
+                table=table,
+                question_type=EQ,
+                source="toy",
             )
         )
-    return out
 
 
-def _extremal_instances(kind: str, count: int, prefix: str) -> list[QAInstance]:
-    out = []
+def _extremal_instances(kind: str, count: int, prefix: str) -> Iterator[QAInstance]:
     for i in range(count):
         rng = _rng(f"{prefix}-{i}")
         n = rng.randint(4, 9)
         teams = _sample(rng, TEAMS, n)
         cities = _sample(rng, CITIES, n)
         points = _unique_ints(rng, 3, 180, n)
-        grid = [[teams[r], cities[r], str(points[r])] for r in range(n)]
-        table = Table.from_values(["Team", "City", "Points"], grid)
-        agg = AggregationDescriptor(kind=kind, value_col=2, label_col=0)
-        answer = evaluate_aggregation(table, agg)
-        extremal = points.index(max(points) if kind == ARGMAX else min(points))
+        row = points.index(max(points) if kind == ARGMAX else min(points))
         if kind == ARGMAX:
             question = "Which team scored the highest number of points?"
         else:
             question = "Which team scored the fewest points?"
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"toy-{prefix}-{i:03d}",
-                    question=question,
-                    answers=(answer,),
-                    table=table,
-                    question_type=RQ,
-                    relevant_cells=(CellCoord(extremal, 0), CellCoord(extremal, 2)),
-                    aggregation=agg,
-                    source="toy",
-                )
-            )
+        yield _reasoning(
+            f"toy-{prefix}-{i:03d}",
+            question,
+            _table(["Team", "City", "Points"], teams, cities, points),
+            AggregationDescriptor(kind=kind, value_col=2, label_col=0),
+            (CellCoord(row, 0), CellCoord(row, 2)),
         )
-    return out
 
 
-def _year_instances() -> list[QAInstance]:
-    out = []
+def _year_instances() -> Iterator[QAInstance]:
     for i in range(15):
         rng = _rng(f"years-{i}")
         n = rng.randint(5, 8)
@@ -170,68 +176,55 @@ def _year_instances() -> list[QAInstance]:
             top = wins.index(max(wins))
             target = years.index("2019")
             wins[top], wins[target] = wins[target], wins[top]
-        grid = [[years[r], str(wins[r])] for r in range(n)]
-        table = Table.from_values(["Year", "Wins"], grid)
-        agg = AggregationDescriptor(kind=ARGMAX, value_col=1, label_col=0)
-        answer = evaluate_aggregation(table, agg)
-        extremal = wins.index(max(wins))
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"toy-years-{i:03d}",
-                    question="In which year did the club record the most wins?",
-                    answers=(answer,),
-                    table=table,
-                    question_type=RQ,
-                    relevant_cells=(CellCoord(extremal, 0), CellCoord(extremal, 1)),
-                    aggregation=agg,
-                    source="toy",
-                )
-            )
+        row = wins.index(max(wins))
+        yield _reasoning(
+            f"toy-years-{i:03d}",
+            "In which year did the club record the most wins?",
+            _table(["Year", "Wins"], years, wins),
+            AggregationDescriptor(kind=ARGMAX, value_col=1, label_col=0),
+            (CellCoord(row, 0), CellCoord(row, 1)),
         )
-    return out
 
 
-def _count_instances() -> list[QAInstance]:
-    out = []
-    for i in range(25):
-        rng = _rng(f"count-{i}")
+def _count_instances(
+    tag: str,
+    id_prefix: str,
+    count: int,
+    *,
+    names,
+    groups,
+    values: tuple[int, int],
+    ordered: bool,
+    headers: list[str],
+    question: str,
+    source: str,
+) -> Iterator[QAInstance]:
+    """COUNT questions over a group column in which the asked-about group
+    fills two or three rows; ``values`` bounds the third column's distinct
+    integers, sorted ascending when ``ordered``."""
+    for i in range(count):
+        rng = _rng(f"{tag}-{i}")
         n = rng.randint(5, 9)
         m = rng.randint(2, 3)
-        teams = _sample(rng, TEAMS, n)
-        cities = _sample(rng, CITIES, n - m + 1)
-        needle = cities[0]
-        city_col = [needle] * m + cities[1:]
-        rng.shuffle(city_col)
-        points = _unique_ints(rng, 5, 199, n)
-        grid = [[teams[r], city_col[r], str(points[r])] for r in range(n)]
-        table = Table.from_values(["Team", "City", "Points"], grid)
-        agg = AggregationDescriptor(
-            kind=COUNT, value_col=1, label_col=0, filter=(1, needle)
+        labels = _sample(rng, names, n)
+        pool = _sample(rng, groups, n - m + 1)
+        needle = pool[0]
+        group_col = [needle] * m + pool[1:]
+        rng.shuffle(group_col)
+        numbers = _unique_ints(rng, *values, n)
+        if ordered:
+            numbers.sort()
+        yield _reasoning(
+            f"{id_prefix}-{i:03d}",
+            question.format(needle),
+            _table(headers, labels, group_col, numbers),
+            AggregationDescriptor(kind=COUNT, value_col=1, label_col=0, filter=(1, needle)),
+            [CellCoord(r, 1) for r in range(n) if group_col[r] == needle],
+            source,
         )
-        answer = evaluate_aggregation(table, agg)
-        matches = tuple(
-            CellCoord(r, 1) for r in range(n) if city_col[r] == needle
-        )
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"toy-count-{i:03d}",
-                    question=f"How many teams play in {needle}?",
-                    answers=(answer,),
-                    table=table,
-                    question_type=RQ,
-                    relevant_cells=matches,
-                    aggregation=agg,
-                    source="toy",
-                )
-            )
-        )
-    return out
 
 
-def _sum_avg_instances(kind: str, count: int, prefix: str) -> list[QAInstance]:
-    out = []
+def _sum_avg_instances(kind: str, count: int, prefix: str) -> Iterator[QAInstance]:
     for i in range(count):
         rng = _rng(f"{prefix}-{i}")
         n = rng.randint(4, 8)
@@ -239,95 +232,66 @@ def _sum_avg_instances(kind: str, count: int, prefix: str) -> list[QAInstance]:
         values = [rng.randint(0, 30) for _ in range(n)]
         if kind == AVG and i % 2 == 0:
             values[-1] += (-sum(values)) % n  # make half the means exact
-        header = "Score" if kind == AVG else "Goals"
-        label = "Student" if kind == AVG else "Team"
-        grid = [[names[r], str(values[r])] for r in range(n)]
-        table = Table.from_values([label, header], grid)
-        agg = AggregationDescriptor(kind=kind, value_col=1, label_col=0)
-        answer = evaluate_aggregation(table, agg)
         if kind == SUM:
-            question = "How many goals did the teams score in total?"
+            headers, question = ["Team", "Goals"], "How many goals did the teams score in total?"
         else:
-            question = "What is the average score of the students?"
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"toy-{prefix}-{i:03d}",
-                    question=question,
-                    answers=(answer,),
-                    table=table,
-                    question_type=RQ,
-                    relevant_cells=tuple(CellCoord(r, 1) for r in range(n)),
-                    aggregation=agg,
-                    source="toy",
-                )
-            )
+            headers, question = ["Student", "Score"], "What is the average score of the students?"
+        yield _reasoning(
+            f"toy-{prefix}-{i:03d}",
+            question,
+            _table(headers, names, values),
+            AggregationDescriptor(kind=kind, value_col=1, label_col=0),
+            [CellCoord(r, 1) for r in range(n)],
         )
-    return out
 
 
-def _pairwise_instances(kind: str, count: int, prefix: str) -> list[QAInstance]:
-    out = []
+def _pairwise_instances(kind: str, count: int, prefix: str) -> Iterator[QAInstance]:
     for i in range(count):
         rng = _rng(f"{prefix}-{i}")
         n = rng.randint(4, 8)
         players = _sample(rng, PEOPLE, n)
         values = _unique_ints(rng, 1, 80, n)
-        grid = [[players[r], str(values[r])] for r in range(n)]
-        table = Table.from_values(["Player", "Goals" if kind == DIFF else "Points"], grid)
         a, b = _sample(rng, range(n), 2)
-        agg = AggregationDescriptor(
-            kind=kind,
-            value_col=1,
-            label_col=0,
-            operands=(CellCoord(a, 1), CellCoord(b, 1)),
-        )
-        answer = evaluate_aggregation(table, agg)
         if kind == DIFF:
             question = f"What is the difference in goals between {players[a]} and {players[b]}?"
         else:
             question = f"Who scored more points, {players[a]} or {players[b]}?"
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"toy-{prefix}-{i:03d}",
-                    question=question,
-                    answers=(answer,),
-                    table=table,
-                    question_type=RQ,
-                    relevant_cells=(
-                        CellCoord(a, 0),
-                        CellCoord(a, 1),
-                        CellCoord(b, 0),
-                        CellCoord(b, 1),
-                    ),
-                    aggregation=agg,
-                    source="toy",
-                )
-            )
+        yield _reasoning(
+            f"toy-{prefix}-{i:03d}",
+            question,
+            _table(["Player", "Goals" if kind == DIFF else "Points"], players, values),
+            AggregationDescriptor(
+                kind=kind,
+                value_col=1,
+                label_col=0,
+                operands=(CellCoord(a, 1), CellCoord(b, 1)),
+            ),
+            (CellCoord(a, 0), CellCoord(a, 1), CellCoord(b, 0), CellCoord(b, 1)),
         )
-    return out
 
 
 def build_toy_dataset() -> list[QAInstance]:
     """Main synthetic set: 250 instances, every aggregation kind covered."""
-    instances = (
-        _eq_instances()
-        + _extremal_instances(ARGMAX, 25, "argmax")
-        + _year_instances()
-        + _extremal_instances(ARGMIN, 25, "argmin")
-        + _count_instances()
-        + _sum_avg_instances(SUM, 20, "sum")
-        + _sum_avg_instances(AVG, 20, "avg")
-        + _pairwise_instances(DIFF, 20, "diff")
-        + _pairwise_instances(COMPARE_TWO, 20, "compare")
+    return _check_ids(
+        [
+            *_eq_instances(),
+            *_extremal_instances(ARGMAX, 25, "argmax"),
+            *_year_instances(),
+            *_extremal_instances(ARGMIN, 25, "argmin"),
+            *_count_instances(
+                "count", "toy-count", 25, names=TEAMS, groups=CITIES, values=(5, 199),
+                ordered=False, headers=["Team", "City", "Points"],
+                question="How many teams play in {}?", source="toy",
+            ),
+            *_sum_avg_instances(SUM, 20, "sum"),
+            *_sum_avg_instances(AVG, 20, "avg"),
+            *_pairwise_instances(DIFF, 20, "diff"),
+            *_pairwise_instances(COMPARE_TWO, 20, "compare"),
+        ]
     )
-    _check_ids(instances)
-    return instances
 
 
-def _sorted_extremal(kind: str, count: int, prefix: str) -> list[QAInstance]:
-    out = []
+def _sorted_extremal(kind: str, count: int, prefix: str) -> Iterator[QAInstance]:
     for i in range(count):
         rng = _rng(f"{prefix}-{i}")
         n = rng.randint(5, 9)
@@ -335,83 +299,34 @@ def _sorted_extremal(kind: str, count: int, prefix: str) -> list[QAInstance]:
         values = sorted(_unique_ints(rng, 1, 120, n), reverse=(kind == ARGMIN))
         # Ascending for ARGMAX, descending for ARGMIN: the answer row is
         # always the last one, so a last-row reader starts out looking right.
-        grid = [[players[r], str(values[r])] for r in range(n)]
-        table = Table.from_values(["Player", "Score"], grid)
-        agg = AggregationDescriptor(kind=kind, value_col=1, label_col=0)
-        answer = evaluate_aggregation(table, agg)
-        question = (
-            "Which player has the highest score?"
-            if kind == ARGMAX
-            else "Which player has the lowest score?"
+        yield _reasoning(
+            f"sorted-{prefix}-{i:03d}",
+            f"Which player has the {'highest' if kind == ARGMAX else 'lowest'} score?",
+            _table(["Player", "Score"], players, values),
+            AggregationDescriptor(kind=kind, value_col=1, label_col=0),
+            (CellCoord(n - 1, 0), CellCoord(n - 1, 1)),
+            "toy-sorted",
         )
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"sorted-{prefix}-{i:03d}",
-                    question=question,
-                    answers=(answer,),
-                    table=table,
-                    question_type=RQ,
-                    relevant_cells=(CellCoord(n - 1, 0), CellCoord(n - 1, 1)),
-                    aggregation=agg,
-                    source="toy-sorted",
-                )
-            )
-        )
-    return out
-
-
-def _sorted_count() -> list[QAInstance]:
-    out = []
-    for i in range(30):
-        rng = _rng(f"sorted-count-{i}")
-        n = rng.randint(5, 9)
-        m = rng.randint(2, 3)
-        players = _sample(rng, PEOPLE, n)
-        teams = _sample(rng, TEAMS, n - m + 1)
-        needle = teams[0]
-        team_col = [needle] * m + teams[1:]
-        rng.shuffle(team_col)
-        scores = sorted(_unique_ints(rng, 1, 120, n))
-        grid = [[players[r], team_col[r], str(scores[r])] for r in range(n)]
-        table = Table.from_values(["Player", "Team", "Score"], grid)
-        agg = AggregationDescriptor(
-            kind=COUNT, value_col=1, label_col=0, filter=(1, needle)
-        )
-        answer = evaluate_aggregation(table, agg)
-        out.append(
-            _finish(
-                QAInstance(
-                    id=f"sorted-count-{i:03d}",
-                    question=f"How many players play for the {needle}?",
-                    answers=(answer,),
-                    table=table,
-                    question_type=RQ,
-                    relevant_cells=tuple(
-                        CellCoord(r, 1) for r in range(n) if team_col[r] == needle
-                    ),
-                    aggregation=agg,
-                    source="toy-sorted",
-                )
-            )
-        )
-    return out
 
 
 def build_sorted_dataset() -> list[QAInstance]:
     """Sorted-table set: superlative questions whose answer row is last,
     plus count questions as the non-comparative control group."""
-    instances = (
-        _sorted_extremal(ARGMAX, 15, "argmax")
-        + _sorted_extremal(ARGMIN, 15, "argmin")
-        + _sorted_count()
+    return _check_ids(
+        [
+            *_sorted_extremal(ARGMAX, 15, "argmax"),
+            *_sorted_extremal(ARGMIN, 15, "argmin"),
+            *_count_instances(
+                "sorted-count", "sorted-count", 30, names=PEOPLE, groups=TEAMS, values=(1, 120),
+                ordered=True, headers=["Player", "Team", "Score"],
+                question="How many players play for the {}?", source="toy-sorted",
+            ),
+        ]
     )
-    _check_ids(instances)
-    return instances
 
 
-def _check_ids(instances: list[QAInstance]) -> None:
+def _check_ids(instances: list[QAInstance]) -> list[QAInstance]:
     ids = [inst.id for inst in instances]
     if len(set(ids)) != len(ids):
         raise AssertionError("generator bug: duplicate instance ids")
-
+    return instances

@@ -14,8 +14,8 @@ from dataclasses import replace
 
 import pytest
 
-from freb.core import EQ
-from freb.errors import PerturbSkip
+from freb.core import ARGMAX, EQ, RQ, AggregationDescriptor, CellCoord, QAInstance, Table
+from freb.errors import CannotPerturb, PerturbSkip
 from freb.ingest import load_dataset
 from freb.perturb import (
     ALL_KINDS,
@@ -29,6 +29,8 @@ from freb.perturb import (
     TARGET_ROW_MIDDLE,
     TARGET_ROW_TOP,
     TRANSPOSE,
+    VALUE_AC,
+    VALUE_NC,
     apply_perturbation,
     iter_conditions,
 )
@@ -134,6 +136,38 @@ def test_seed_independent_work_runs_once(monkeypatch, toy_instances, sorted_inst
                 assert calls[("realize", *key)] == perturbed[key], key
     # Every no-draw outcome the test relies on really occurs.
     assert {kind for _, kind in no_draw} == NO_DRAW_KINDS | {SHIFT_RELEVANT_ROWS}
+
+
+def test_a_skip_the_plan_raises_is_listed_for_every_seed(monkeypatch):
+    # One row: prepare projects the table and keys its answer, but without a
+    # second row no edit can move or keep an ARGMAX answer, so the plan raises.
+    lone = QAInstance(
+        id="lone-argmax",
+        question="Which team scored the most points?",
+        answers=("Comets",),
+        table=Table.from_values(["Team", "Points"], [["Comets", "12"]]),
+        question_type=RQ,
+        relevant_cells=(CellCoord(0, 0), CellCoord(0, 1)),
+        aggregation=AggregationDescriptor(kind=ARGMAX, value_col=1, label_col=0),
+    )
+    kinds = (VALUE_AC, VALUE_NC)
+    expected = {}
+    for kind in kinds:
+        with pytest.raises(CannotPerturb) as raised:
+            apply_perturbation(lone, kind, 0)
+        exc = raised.value
+        expected[kind] = {"id": lone.id, "reason": type(exc).__name__, "detail": str(exc)}
+
+    calls = Counter()
+    _counting_specs(monkeypatch, calls)
+    conditions = list(iter_conditions([lone], kinds, SEEDS))
+    assert [(c.kind, c.seed) for c in conditions] == [(k, s) for k in kinds for s in SEEDS]
+    for condition in conditions:
+        assert condition.perturbed == []
+        assert condition.skipped == [expected[condition.kind]]
+    for kind in kinds:
+        assert calls[("prepare", lone.id, kind)] == 1
+        assert calls[("realize", lone.id, kind)] == 0
 
 
 def test_iter_conditions_keeps_no_instance_alive(toy_path):

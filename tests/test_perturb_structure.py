@@ -252,13 +252,6 @@ def test_transpose_maps_cells():
             assert out.rows[c][r + 1] is t.rows[r][c]  # moved, not parsed again
 
 
-def test_transpose_without_index_headers():
-    t = Table.from_values(["A", "B"], [["1", "2"]])
-    out = transpose(t, index_headers=False)
-    assert out.headers == ("A", "1")
-    assert out.grid_values() == [["B", "2"]]
-
-
 def test_transpose_zero_rows():
     t = Table.from_values(["A", "B"], [])
     out = transpose(t)

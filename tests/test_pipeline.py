@@ -1,5 +1,6 @@
 """Config parsing and the perturb-predict-score pipeline."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -193,6 +194,12 @@ def test_pipeline_original_block(faithful_report, toy_instances):
     assert faithful_report["original"]["failures"] == {}
     assert faithful_report["n_loaded"] == len(toy_instances)
     assert faithful_report["dropped_by_length"] == []
+
+
+def test_pipeline_names_the_dataset_path_and_bytes(faithful_report, toy_path):
+    config = faithful_report["config"]
+    assert config["dataset"] == str(toy_path)
+    assert config["dataset_sha256"] == hashlib.sha256(toy_path.read_bytes()).hexdigest()
 
 
 def test_pipeline_condition_grid(faithful_report):
