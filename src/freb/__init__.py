@@ -25,7 +25,7 @@ from .errors import (
     FrebError,
     PerturbSkip,
 )
-from .metrics import ORIGINAL, PredictionSet, aggregate_seeds, em, emd, vp, vp_gap
+from .metrics import ORIGINAL, PredictionSet, aggregate_seeds, em, emd, vp
 from .perturb import apply_perturbation, evaluate_aggregation
 from .pipeline import RunConfig, render_report_text, run_pipeline
 from .rng import Rng, derive_rng, derive_seed
@@ -66,6 +66,5 @@ __all__ = [
     "token_count",
     "validate",
     "vp",
-    "vp_gap",
     "__version__",
 ]

@@ -14,12 +14,8 @@ real systems.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
-import subprocess
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -172,7 +168,8 @@ class _Transport:
     the payload's sha256 for the backend's lifetime, failures are not.  A
     subclass says how one instance becomes a payload (``_payload``) and how
     one payload is sent and its reply read (``_send``, which raises on
-    failure).
+    failure).  The stdlib modules a transport sends with are imported on
+    first use, so building any other backend never loads them.
     """
 
     def __init__(self, timeout: float, retries: int, workers: int):
@@ -187,7 +184,7 @@ class _Transport:
         for _ in range(self.retries + 1):
             try:
                 return self._send(payload), None
-            except (BackendError, OSError, ValueError, http.client.HTTPException) as exc:
+            except (BackendError, OSError, ValueError) as exc:
                 last_error = str(exc)
         return None, last_error
 
@@ -214,6 +211,8 @@ class _Transport:
             if key not in self._answers:
                 new.setdefault(key, payload)
         if self.workers > 1 and len(new) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 results = list(pool.map(self._attempt, new.values()))
         else:
@@ -251,6 +250,8 @@ class SubprocessBackend(_Transport):
         return f"{inst.question}\n{serialize(inst.table)}\n".encode("utf-8")
 
     def _send(self, payload: bytes) -> str:
+        import subprocess
+
         try:
             proc = subprocess.run(
                 self.command, shell=True, input=payload, capture_output=True, timeout=self.timeout
@@ -291,13 +292,19 @@ class HttpBackend(_Transport):
         return json.dumps(body).encode("utf-8")
 
     def _send(self, body: bytes) -> str:
+        import http.client
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(HTTP_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         request = urllib.request.Request(self.url, data=body, headers=headers)
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            reply = json.loads(response.read().decode("utf-8"))
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                reply = json.loads(response.read().decode("utf-8"))
+        except http.client.HTTPException as exc:
+            raise BackendError(str(exc)) from exc
         return _answer_of(reply, self.reply_key)
 
 

@@ -1,9 +1,9 @@
 """Table and QA-instance data model shared by every other module.
 
 All types are immutable after construction and safe to share across workers,
-except that a Cell fills its normalized answer key lazily on first read; the
-key is derived from the raw text alone and takes no part in equality, hashing
-or repr.
+except that a Cell fills its parsed number and its normalized answer key
+lazily, each on first read; both are derived from the raw text alone and take
+no part in equality, hashing or repr.
 Tables are flat rectangular grids of text cells with a single header row;
 blank cells are empty strings, never None.  Dates are plain text; only
 decimal numbers get a parsed representation.
@@ -112,16 +112,28 @@ def _answer_keys(answers: tuple[str, ...]) -> frozenset[str]:
 class Cell:
     """One grid cell: raw text plus its parsed decimal value when numeric.
 
-    Perturbed tables share their original's cells, so the normalized key
-    cached here is computed once per cell, whichever kind or seed reads it.
+    Building a cell parses nothing: the number and the normalized key are
+    computed on first read and cached here.  Perturbed tables share their
+    original's cells, so each is computed at most once per cell, whichever
+    kind or seed reads it.  ``...`` marks a number not parsed yet (None
+    means "not numeric"); being a singleton, it survives pickle and copy.
     """
 
     raw: str
-    parsed_number: Decimal | None = field(init=False, compare=False)
+    _number: Decimal | None = field(init=False, compare=False, repr=False)
     _key: str | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parsed_number", parse_number(self.raw))
+        object.__setattr__(self, "_number", ...)
+
+    @property
+    def parsed_number(self) -> Decimal | None:
+        """``parse_number(self.raw)``, computed on first read."""
+        number = self._number
+        if number is ...:
+            number = parse_number(self.raw)
+            object.__setattr__(self, "_number", number)
+        return number
 
     @property
     def key(self) -> str:

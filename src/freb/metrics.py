@@ -12,7 +12,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .classify import ComparativeLexicon
 from .core import QAInstance, answer_keys, normalize_answer
 
 ORIGINAL = "ORIGINAL"
@@ -140,7 +139,9 @@ def gap_from_correctness(
     before: Mapping[str, bool], after: Mapping[str, bool], compare_ids: Iterable[str]
 ) -> GapResult:
     """VP over the instances in ``compare_ids`` (questions with comparative
-    cues) and over the rest, on precomputed per-instance correctness."""
+    cues) and over the rest, on precomputed per-instance correctness; the
+    gap (compare minus non-compare) exposes models that only wobble when
+    cells must be compared."""
     compare = set(compare_ids)
 
     def split(ids: set[str]) -> VpResult | None:
@@ -149,19 +150,3 @@ def gap_from_correctness(
         return vp_from_correctness({i: before[i] for i in ids}, {i: after[i] for i in ids})
 
     return GapResult(compare=split(compare & set(before)), noncompare=split(set(before) - compare))
-
-
-def vp_gap(
-    preds_before: PredictionSet,
-    preds_after: PredictionSet,
-    gold: Iterable[QAInstance],
-    lexicon: ComparativeLexicon | None = None,
-) -> GapResult:
-    """VP computed separately for questions with and without comparative
-    cues; the gap (compare minus non-compare) exposes models that only
-    wobble when cells must be compared."""
-    lexicon = lexicon or ComparativeLexicon()
-    instances = list(gold)
-    before, after = _paired_correctness(preds_before, preds_after, instances)
-    compare = {i.id for i in instances if lexicon.question_has_cue(i.question)}
-    return gap_from_correctness(before, after, compare)

@@ -430,26 +430,6 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
     raise UnsupportedKind(f"no answer-preserving strategy for {kind!r}")
 
 
-def modify_answer_change(
-    table: Table, descriptor: AggregationDescriptor, rng: Rng
-) -> tuple[Table, list[ValueEdit], str]:
-    """Edit at most two cells so the oracle's answer changes; the new answer
-    is re-derived by running the oracle on the edited table."""
-    key = _answer_key(table, descriptor)
-    return _search_edits(table, descriptor, key, rng, _ac_candidate, answer_changes=True)
-
-
-def modify_no_change(
-    table: Table, descriptor: AggregationDescriptor, rng: Rng
-) -> tuple[Table, list[ValueEdit]]:
-    """Edit at most two cells while provably keeping the oracle's answer."""
-    key = _answer_key(table, descriptor)
-    edited, edits, _ = _search_edits(
-        table, descriptor, key, rng, _nc_candidate, answer_changes=False
-    )
-    return edited, edits
-
-
 def _answer_key(table: Table, descriptor: AggregationDescriptor) -> str:
     return normalize_answer(evaluate_aggregation(table, descriptor))
 

@@ -1,8 +1,12 @@
 """Reference models and the file/subprocess/HTTP prediction backends."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -432,3 +436,16 @@ def test_parse_backend_rejects_garbage():
         parse_backend("carrier_pigeon:coop")
     with pytest.raises(ConfigError, match="missing a target"):
         parse_backend("file:")
+
+
+def test_importing_freb_loads_no_transport_module():
+    """The subprocess and HTTP transports import their stdlib modules on
+    first use, so a run with any other backend never loads them."""
+    transport = ["http.client", "urllib.request", "subprocess", "concurrent.futures"]
+    code = f"import sys, freb, freb.cli; print([m for m in {transport!r} if m in sys.modules])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Number parsing, answer normalization and table invariants."""
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import freb.core
 from freb.core import (
     ARGMAX,
     COUNT,
@@ -158,6 +161,75 @@ def test_cell_parses_number_once():
 def test_cell_equality_ignores_parsed_cache():
     assert Cell("15") == Cell("15")
     assert Cell("15") != Cell("15.0")
+
+
+def _count_parses(monkeypatch):
+    """Count calls to freb.core.parse_number from here on."""
+    calls = []
+    parse = freb.core.parse_number
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(freb.core, "parse_number", counting)
+    return calls
+
+
+def test_load_dataset_parses_no_numbers(toy_path, monkeypatch):
+    from freb.ingest import load_dataset
+
+    calls = _count_parses(monkeypatch)
+    instances = load_dataset(toy_path)
+    assert calls == []
+    cell = instances[0].table.rows[0][0]
+    cell.parsed_number
+    assert calls == [cell.raw]
+
+
+@pytest.mark.parametrize("raw", ["1,500", "Leslie"])
+def test_cell_reads_its_number_twice_and_parses_once(raw, monkeypatch):
+    calls = _count_parses(monkeypatch)
+    cell = Cell(raw)
+    assert calls == []
+    first, second = cell.parsed_number, cell.parsed_number
+    assert first is second
+    assert calls == [raw]
+
+
+LAZY_RAWS = ["1,500", "$-3", "−4", "2.50%", " 7 ", "", "Leslie", "NaN", "1e30"]
+
+
+@pytest.mark.parametrize("raw", LAZY_RAWS)
+def test_cell_parsed_number_is_parse_number(raw):
+    assert Cell(raw).parsed_number == parse_number(raw)
+
+
+@pytest.mark.parametrize("raw", LAZY_RAWS)
+@pytest.mark.parametrize(
+    "clone",
+    [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_cell_clones_keep_the_number_before_and_after_reading(raw, clone):
+    unread = clone(Cell(raw))
+    read = Cell(raw)
+    read.parsed_number, read.key
+    read = clone(read)
+    for cell in (unread, read):
+        assert cell == Cell(raw)
+        assert cell.parsed_number == parse_number(raw)
+        assert cell.key == normalize_answer(raw)
+
+
+@pytest.mark.parametrize("raw", LAZY_RAWS)
+def test_cell_equality_and_hash_ignore_what_was_read(raw):
+    fresh, read = Cell(raw), Cell(raw)
+    before = (hash(read), repr(read))
+    read.parsed_number, read.key
+    assert (hash(read), repr(read)) == before
+    assert fresh == read and hash(fresh) == hash(read)
+    assert {fresh: 1}[read] == 1
 
 
 def test_table_from_values_and_accessors():

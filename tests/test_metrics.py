@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freb.classify import ComparativeLexicon
 from freb.core import QAInstance, Table
 from freb.metrics import (
     ORIGINAL,
@@ -15,10 +16,10 @@ from freb.metrics import (
     aggregate_seeds,
     em,
     emd,
+    gap_from_correctness,
     is_correct,
     vp,
     vp_from_correctness,
-    vp_gap,
 )
 
 _TABLE = Table.from_values(["H"], [["x"]])
@@ -174,6 +175,17 @@ def test_aggregate_seeds_empty_errors():
         aggregate_seeds([])
 
 
+def _gap(gold, before, after):
+    """The VP gap as the pipeline computes it: correctness from is_correct,
+    the compare split from the comparative lexicon."""
+    lexicon = ComparativeLexicon()
+    return gap_from_correctness(
+        {i.id: is_correct(before[i.id], i.answers) for i in gold},
+        {i.id: is_correct(after[i.id], i.answers) for i in gold},
+        [i.id for i in gold if lexicon.question_has_cue(i.question)],
+    )
+
+
 def test_vp_gap_splits_on_comparative_cue():
     gold = _gold(
         ("a", "Who scored the most points?", ("X",)),  # cue
@@ -181,9 +193,9 @@ def test_vp_gap_splits_on_comparative_cue():
         ("c", "What city is listed?", ("X",)),  # no cue
         ("d", "What is the venue?", ("X",)),  # no cue
     )
-    before = _preds({"a": "X", "b": "X", "c": "X", "d": "X"})
-    after = _preds({"a": "y", "b": "X", "c": "X", "d": "X"})
-    result = vp_gap(before, after, gold)
+    before = {"a": "X", "b": "X", "c": "X", "d": "X"}
+    after = {"a": "y", "b": "X", "c": "X", "d": "X"}
+    result = _gap(gold, before, after)
     assert result.compare.vp == 0.5
     assert result.compare.n == 2
     assert result.noncompare.vp == 0.0
@@ -192,8 +204,8 @@ def test_vp_gap_splits_on_comparative_cue():
 
 def test_vp_gap_empty_split_has_no_gap():
     gold = _gold(("a", "Who scored the most points?", ("X",)))
-    preds = _preds({"a": "X"})
-    result = vp_gap(preds, preds, gold)
+    preds = {"a": "X"}
+    result = _gap(gold, preds, preds)
     assert result.noncompare is None
     assert result.compare.vp == 0.0
     assert result.gap is None

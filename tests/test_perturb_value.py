@@ -38,9 +38,8 @@ from freb.perturb import (
     apply_edits,
     apply_perturbation,
     evaluate_aggregation,
-    modify_answer_change,
-    modify_no_change,
 )
+from freb.perturb.value import plan_value_edit, prepare_value_edit, realize_value_edit
 from freb.rng import Rng
 
 SHORTENED_SPEC = next(spec for spec in KINDS if spec.name == SHORTENED)
@@ -284,13 +283,18 @@ def test_value_edit_json_round_trip():
     assert ValueEdit.from_json(data) == edit
 
 
+# SUM, AVG and DIFF name a label column so that the projection the value
+# kinds search keeps a non-operand column for VALUE_NC to edit.
 ALL_DESCRIPTORS = [
     (_desc(ARGMAX, value_col=2, label_col=0), ("Ayola",)),
     (_desc(ARGMIN, value_col=2, label_col=0), ("Dorn",)),
     (_desc(COUNT, value_col=1, filter=(1, "Reds")), ("2",)),
-    (_desc(SUM, value_col=2), ("82",)),
-    (_desc(AVG, value_col=2), ("20.5",)),
-    (_desc(DIFF, value_col=2, operands=(CellCoord(0, 2), CellCoord(1, 2))), ("7",)),
+    (_desc(SUM, value_col=2, label_col=0), ("82",)),
+    (_desc(AVG, value_col=2, label_col=0), ("20.5",)),
+    (
+        _desc(DIFF, value_col=2, label_col=0, operands=(CellCoord(0, 2), CellCoord(1, 2))),
+        ("7",),
+    ),
     (
         _desc(
             COMPARE_TWO,
@@ -303,33 +307,46 @@ ALL_DESCRIPTORS = [
 ]
 
 
+def _value_edit(descriptor, answers, answer_changes, seed, table=SCORES):
+    """VALUE_AC (``answer_changes``) or VALUE_NC as the kind table runs it:
+    prepare, plan, realize.  Returns (perturbed instance, edits in the full
+    table's coordinates, params)."""
+    instance = _rq_instance(descriptor, answers, table=table)
+    params = plan_value_edit(answer_changes)(prepare_value_edit(instance), Rng(seed))
+    edits = [ValueEdit.from_json(e) for e in params["edits"]]
+    return realize_value_edit(instance, params), edits, params
+
+
 @pytest.mark.parametrize("descriptor,answers", ALL_DESCRIPTORS, ids=lambda v: getattr(v, "kind", ""))
 def test_modify_answer_change_all_kinds(descriptor, answers):
     before = evaluate_aggregation(SCORES, descriptor)
     for seed in range(6):
-        edited, edits, new = modify_answer_change(SCORES, descriptor, Rng(seed))
+        edited, edits, params = _value_edit(descriptor, answers, True, seed)
+        new = params["new_answer"]
         assert 1 <= len(edits) <= 2
         assert normalize_answer(new) != normalize_answer(before)
-        assert evaluate_aggregation(edited, descriptor) == new
+        assert edited.answers == (new,)
+        assert evaluate_aggregation(edited.table, edited.aggregation) == new
 
 
 @pytest.mark.parametrize("descriptor,answers", ALL_DESCRIPTORS, ids=lambda v: getattr(v, "kind", ""))
 def test_modify_no_change_all_kinds(descriptor, answers):
     before = evaluate_aggregation(SCORES, descriptor)
     for seed in range(6):
-        edited, edits = modify_no_change(SCORES, descriptor, Rng(seed))
+        edited, edits, _ = _value_edit(descriptor, answers, False, seed)
         assert 1 <= len(edits) <= 2
-        assert edited != SCORES  # something really was edited
-        assert normalize_answer(evaluate_aggregation(edited, descriptor)) == normalize_answer(
-            before
-        )
+        assert edited.table != SCORES  # something really was edited
+        assert edited.answers == answers
+        assert normalize_answer(
+            evaluate_aggregation(edited.table, edited.aggregation)
+        ) == normalize_answer(before)
 
 
 def test_count_answer_change_can_remove_rows():
     descriptor = _desc(COUNT, value_col=1, filter=(1, "Reds"))
     classes = set()
     for seed in range(40):
-        _, edits, _ = modify_answer_change(SCORES, descriptor, Rng(seed))
+        _, edits, _ = _value_edit(descriptor, ("2",), True, seed)
         classes.update(e.edit_class for e in edits)
     assert ROW_REMOVAL in classes
     assert classes - {ROW_REMOVAL}  # cell edits appear too
@@ -337,25 +354,25 @@ def test_count_answer_change_can_remove_rows():
 
 def test_count_answer_change_from_zero():
     descriptor = _desc(COUNT, value_col=1, filter=(1, "Golds"))
-    edited, edits, new = modify_answer_change(SCORES, descriptor, Rng(1))
-    assert new == "1"
-    assert evaluate_aggregation(edited, descriptor) == "1"
+    edited, _, params = _value_edit(descriptor, ("0",), True, 1)
+    assert params["new_answer"] == "1"
+    assert evaluate_aggregation(edited.table, edited.aggregation) == "1"
 
 
 def test_sum_no_change_leaves_operand_column_alone():
-    descriptor = _desc(SUM, value_col=2)
+    descriptor = _desc(SUM, value_col=2, label_col=0)
     for seed in range(10):
-        edited, edits = modify_no_change(SCORES, descriptor, Rng(seed))
+        edited, edits, _ = _value_edit(descriptor, ("82",), False, seed)
         for edit in edits:
             assert edit.coord.col != 2
-        assert evaluate_aggregation(edited, descriptor) == "82"
+        assert evaluate_aggregation(edited.table, edited.aggregation) == "82"
 
 
 def test_extremal_no_change_keeps_winner_label():
     descriptor = _desc(ARGMIN, value_col=2, label_col=0)
     for seed in range(10):
-        edited, edits = modify_no_change(SCORES, descriptor, Rng(seed))
-        assert evaluate_aggregation(edited, descriptor) == "Dorn"
+        edited, edits, _ = _value_edit(descriptor, ("Dorn",), False, seed)
+        assert evaluate_aggregation(edited.table, edited.aggregation) == "Dorn"
         # the winning row's cells are off-limits
         for edit in edits:
             assert edit.coord.row != 3
@@ -364,13 +381,13 @@ def test_extremal_no_change_keeps_winner_label():
 def test_cannot_perturb_single_row_extremal():
     single = Table.from_values(["P", "V"], [["a", "5"]])
     with pytest.raises(CannotPerturb):
-        modify_no_change(single, _desc(ARGMAX, value_col=1, label_col=0), Rng(0))
+        _value_edit(_desc(ARGMAX, value_col=1, label_col=0), ("a",), False, 0, table=single)
 
 
 def test_modify_is_deterministic_per_seed():
     descriptor = _desc(SUM, value_col=2)
-    a = modify_answer_change(SCORES, descriptor, Rng(17))
-    b = modify_answer_change(SCORES, descriptor, Rng(17))
+    a = _value_edit(descriptor, ("82",), True, 17)
+    b = _value_edit(descriptor, ("82",), True, 17)
     assert a == b
 
 

@@ -293,7 +293,8 @@ def test_pipeline_empty_condition_has_every_score_key(tmp_path, toy_instances):
 
 def test_pipeline_gap_matches_metrics(toy_path, toy_instances):
     from freb.backends import LAST_ROW_BIASED, ReferenceBackend
-    from freb.metrics import ORIGINAL, PredictionSet, vp_gap
+    from freb.classify import ComparativeLexicon
+    from freb.metrics import ORIGINAL, gap_from_correctness, is_correct
     from freb.perturb import apply_perturbation
 
     report = run_pipeline(
@@ -315,10 +316,11 @@ def test_pipeline_gap_matches_metrics(toy_path, toy_instances):
     before, _ = backend.predictions_for((ORIGINAL, 0), [i for i in toy_instances if i.id in ids])
     after, _ = backend.predictions_for(("SHIFT_RELEVANT_ROWS", 1), perturbed)
     # the perturbation keeps answers, so gold is the same on both sides
-    gap = vp_gap(
-        PredictionSet("m", (ORIGINAL, 0), before),
-        PredictionSet("m", ("SHIFT_RELEVANT_ROWS", 1), after),
-        perturbed,
+    lexicon = ComparativeLexicon()
+    gap = gap_from_correctness(
+        {i.id: is_correct(before[i.id], i.answers) for i in perturbed},
+        {i.id: is_correct(after[i.id], i.answers) for i in perturbed},
+        [i.id for i in perturbed if lexicon.question_has_cue(i.question)],
     )
     assert condition["n"] == len(perturbed)
     assert condition["gap"]["gap"] == gap.gap
