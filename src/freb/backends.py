@@ -175,7 +175,7 @@ class _Transport:
     def __init__(self, timeout: float, retries: int, workers: int):
         self.timeout = timeout
         self.retries = retries
-        self.workers = max(1, workers)
+        self.workers = workers
         self._answers: dict[str, str] = {}
 
     def _attempt(self, payload: bytes) -> tuple[str | None, str | None]:

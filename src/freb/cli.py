@@ -139,6 +139,10 @@ def _make_secondary(args):
 
 
 def _cmd_classify(args) -> int:
+    if (args.secondary_cmd or args.secondary_url) and not args.combined:
+        raise ConfigError("--secondary-cmd and --secondary-url need --combined")
+    if args.positional_words and not args.drop_positional:
+        raise ConfigError("--positional-words needs --drop-positional")
     check_timeout_retries(args.timeout, args.retries)
     instances = load_dataset(args.input)
     lexicon = ComparativeLexicon.from_file(args.lexicon) if args.lexicon else ComparativeLexicon()

@@ -1,7 +1,8 @@
 """Exception taxonomy.
 
 PerturbSkip subclasses mark instances a perturbation legitimately cannot
-handle; pipelines catch them, record the instance id + reason, and move on.
+handle; pipelines catch them, record the instance id, the class name as the
+reason and the message as the detail, and move on.
 DatasetError / ConfigError are fatal and map to CLI exit codes 2 and 1.
 """
 
@@ -27,36 +28,34 @@ class BackendError(FrebError):
 class PerturbSkip(FrebError):
     """Base for per-instance conditions that skip a perturbation."""
 
-    reason = "skipped"
-
 
 class NoTargetFound(PerturbSkip):
-    reason = "no table cell matches any gold answer"
+    """No table cell matches any gold answer."""
 
 
 class TooFewRows(PerturbSkip):
-    reason = "table too small to partition"
+    """The table is too small to partition."""
 
 
 class MissingAnnotation(PerturbSkip):
-    reason = "required annotation absent"
+    """An annotation the perturbation reads is absent."""
 
 
 class NonNumericCell(PerturbSkip):
-    reason = "non-numeric cell in a numeric aggregation column"
+    """A cell of a numeric aggregation column is not a number."""
 
 
 class TieDetected(PerturbSkip):
-    reason = "tie between extremal values"
+    """Extremal values tie."""
 
 
 class UnsupportedKind(PerturbSkip):
-    reason = "aggregation kind not supported by this perturbation"
+    """The perturbation kind, or the aggregation kind, is not supported."""
 
 
 class CannotPerturb(PerturbSkip):
-    reason = "no valid edit found within retry budget"
+    """No valid edit was found within the retry budget."""
 
 
 class NotEligible(PerturbSkip):
-    reason = "instance not eligible for this perturbation"
+    """The instance's question type does not fit the perturbation."""

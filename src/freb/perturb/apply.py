@@ -1,12 +1,13 @@
 """Single entry point for applying any perturbation kind to an instance.
 
-``KINDS`` is the one table of perturbation kinds: each entry names a kind's
-family, a seed-independent ``prepare`` step that decides whether the kind
-applies to an instance and does the work that needs no random draw
-(eligibility, locating the target, the value kinds' shortened projection and
-its oracle answer), a ``plan`` that makes every random draw on top of that
-and returns the kind's params, and a pure ``realize`` that builds the
-perturbed instance from the original and those params alone.
+``KINDS`` is the one table of perturbation kinds: each row names a kind,
+its family, its requirement (the question type or annotation an instance
+must have), a seed-independent ``prepare`` step that does the work that
+needs no random draw once the requirement is met (locating the target, the
+value kinds' shortened projection and its oracle answer), a ``plan`` that
+makes every random draw on top of that and returns the kind's params, and a
+pure ``realize`` that builds the perturbed instance from the original and
+those params alone.
 ``apply_perturbation`` runs prepare, plan and realize for one instance under
 its random stream and records the provenance; ``replay`` rebuilds any
 perturbed instance from its record.  ``iter_conditions`` is the kinds x seeds
@@ -98,36 +99,33 @@ class KindSpec:
     realize: Callable[[QAInstance, dict], QAInstance]
 
 
-# Structure perturbations rearrange lookup evidence, so they apply to
-# extraction questions; cell-removal probes and value edits only make sense
-# for reasoning questions and annotated instances respectively.
+# What a kind requires of an instance: the test, the skip it raises on an
+# instance that fails it, and the skip's text after the kind's name.
+# Structure kinds rearrange lookup evidence, so they need extraction
+# questions; the removals need reasoning questions, and the other kinds the
+# annotation they read.
+_REQUIREMENTS = {
+    EQ: (lambda i: i.question_type == EQ, NotEligible, "applies to extraction questions only"),
+    RQ: (lambda i: i.question_type == RQ, NotEligible, "applies to reasoning questions only"),
+    "relevant_cells": (
+        lambda i: i.relevant_cells, MissingAnnotation, "needs relevant-cell annotations"
+    ),
+    "aggregation": (lambda i: i.aggregation, MissingAnnotation, "needs an aggregation descriptor"),
+}
 
 
-def _question_type(kind: str, question_type: str, label: str):
-    def check(instance: QAInstance) -> None:
-        if instance.question_type != question_type:
-            raise NotEligible(f"{kind.lower()} applies to {label} questions only")
+def _kind(name: str, family: str, requirement: str, prepare, plan, realize) -> KindSpec:
+    """A kind whose prepare step checks ``requirement``, then runs
+    ``prepare`` (or passes the instance on when it is None)."""
+    meets, skip, detail = _REQUIREMENTS[requirement]
+    message = f"{name.lower()} {detail}"
 
-    return check
-
-
-def _annotated(kind: str, attribute: str, what: str):
-    def check(instance: QAInstance) -> None:
-        if not getattr(instance, attribute):
-            raise MissingAnnotation(f"{kind.lower()} needs {what}")
-
-    return check
-
-
-def _checked(check, prepare):
-    """The prepare step: ``check``, then the kind's own ``prepare`` if it
-    has one."""
-
-    def step(instance: QAInstance):
-        check(instance)
+    def checked(instance: QAInstance):
+        if not meets(instance):
+            raise skip(message)
         return instance if prepare is None else prepare(instance)
 
-    return step
+    return KindSpec(name, family, checked, plan, realize)
 
 
 def _drawless(params: dict, rng: Rng) -> dict:
@@ -135,50 +133,32 @@ def _drawless(params: dict, rng: Rng) -> dict:
     return params
 
 
-def _structure(kind: str, prepare, plan, realize) -> KindSpec:
-    check = _question_type(kind, EQ, "extraction")
-    return KindSpec(kind, "structure", _checked(check, prepare), plan, realize)
-
-
-def _removal(kind: str, prepare, realize) -> KindSpec:
-    check = _question_type(kind, RQ, "reasoning")
-    return KindSpec(kind, "relevance", _checked(check, prepare), _drawless, realize)
-
-
-def _value(kind: str, prepare, plan, realize) -> KindSpec:
-    check = _annotated(kind, "aggregation", "an aggregation descriptor")
-    return KindSpec(kind, "value", _checked(check, prepare), plan, realize)
-
-
-def _target(kind: str, axis: str, part: str, realize) -> KindSpec:
-    return _structure(kind, prepare_target_shift(axis, part), plan_target_shift, realize)
-
-
 # Canonical order: reports, output files and the group aliases follow it.
+# Each row: kind, family, requirement, prepare, plan, realize.
 KINDS = (
-    _structure(SHUFFLE_ROWS, None, plan_shuffle_rows, realize_shuffle_rows),
-    _structure(SHUFFLE_COLS, None, plan_shuffle_cols, realize_shuffle_cols),
-    _target(TARGET_ROW_TOP, "row", "TOP", realize_target_row),
-    _target(TARGET_ROW_MIDDLE, "row", "MIDDLE", realize_target_row),
-    _target(TARGET_ROW_BOTTOM, "row", "BOTTOM", realize_target_row),
-    _target(TARGET_COL_FRONT, "col", "FRONT", realize_target_col),
-    _target(TARGET_COL_BACK, "col", "BACK", realize_target_col),
-    _structure(TRANSPOSE, prepare_transpose, _drawless, realize_transpose),
-    _removal(REMOVE_RELEVANT, prepare_remove_relevant, realize_remove_relevant),
-    _removal(REMOVE_TABLE, prepare_remove_table, realize_remove_table),
-    KindSpec(
-        SHIFT_RELEVANT_ROWS,
-        "relevance",
-        _checked(
-            _annotated(SHIFT_RELEVANT_ROWS, "relevant_cells", "relevant-cell annotations"),
-            prepare_shift_relevant_rows,
-        ),
-        plan_shift_relevant_rows,
-        realize_shift_relevant_rows,
-    ),
-    _value(VALUE_AC, prepare_value_edit, plan_value_edit(answer_changes=True), realize_value_edit),
-    _value(VALUE_NC, prepare_value_edit, plan_value_edit(answer_changes=False), realize_value_edit),
-    _value(SHORTENED, prepare_shortened, _drawless, realize_shortened),
+    _kind(SHUFFLE_ROWS, "structure", EQ, None, plan_shuffle_rows, realize_shuffle_rows),
+    _kind(SHUFFLE_COLS, "structure", EQ, None, plan_shuffle_cols, realize_shuffle_cols),
+    _kind(TARGET_ROW_TOP, "structure", EQ,
+          prepare_target_shift("row", "TOP"), plan_target_shift, realize_target_row),
+    _kind(TARGET_ROW_MIDDLE, "structure", EQ,
+          prepare_target_shift("row", "MIDDLE"), plan_target_shift, realize_target_row),
+    _kind(TARGET_ROW_BOTTOM, "structure", EQ,
+          prepare_target_shift("row", "BOTTOM"), plan_target_shift, realize_target_row),
+    _kind(TARGET_COL_FRONT, "structure", EQ,
+          prepare_target_shift("col", "FRONT"), plan_target_shift, realize_target_col),
+    _kind(TARGET_COL_BACK, "structure", EQ,
+          prepare_target_shift("col", "BACK"), plan_target_shift, realize_target_col),
+    _kind(TRANSPOSE, "structure", EQ, prepare_transpose, _drawless, realize_transpose),
+    _kind(REMOVE_RELEVANT, "relevance", RQ,
+          prepare_remove_relevant, _drawless, realize_remove_relevant),
+    _kind(REMOVE_TABLE, "relevance", RQ, prepare_remove_table, _drawless, realize_remove_table),
+    _kind(SHIFT_RELEVANT_ROWS, "relevance", "relevant_cells",
+          prepare_shift_relevant_rows, plan_shift_relevant_rows, realize_shift_relevant_rows),
+    _kind(VALUE_AC, "value", "aggregation",
+          prepare_value_edit, plan_value_edit(answer_changes=True), realize_value_edit),
+    _kind(VALUE_NC, "value", "aggregation",
+          prepare_value_edit, plan_value_edit(answer_changes=False), realize_value_edit),
+    _kind(SHORTENED, "value", "aggregation", prepare_shortened, _drawless, realize_shortened),
 )
 
 _SPECS = {spec.name: spec for spec in KINDS}

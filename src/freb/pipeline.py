@@ -63,6 +63,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_timeout_retries(self.timeout, self.retries)
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 def check_timeout_retries(timeout: float, retries: int) -> None:

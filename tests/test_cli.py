@@ -150,6 +150,28 @@ def test_classify_combined_needs_exactly_one_secondary(tmp_path, toy_path):
     )
 
 
+@pytest.mark.parametrize(
+    "flags,missing",
+    [
+        (["--secondary-cmd", "touch {marker}"], "--combined"),
+        (["--secondary-url", "http://127.0.0.1:9/"], "--combined"),
+        (["--positional-words", "{marker}"], "--drop-positional"),
+    ],
+)
+def test_classify_flag_without_its_switch_is_a_config_error(
+    tmp_path, toy_path, capsys, flags, missing
+):
+    marker = tmp_path / "marker"
+    out = tmp_path / "labeled.jsonl"
+    flags = [flag.format(marker=marker) for flag in flags]
+    assert main(["classify", "--in", str(toy_path), "--out", str(out), *flags]) == 1
+    assert not out.exists()
+    assert not marker.exists()  # the secondary command never ran
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert missing in err
+
+
 def test_classify_drop_positional(tmp_path, capsys):
     from freb.core import EQ, QAInstance, Table
     from freb.ingest import save_dataset
@@ -308,6 +330,23 @@ def test_exit_code_bad_timeout_or_retries(tmp_path, toy_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.count("config error: ") == 2
     assert ("retries must be >= 0" if "--retries" in flags else "timeout must be") in err
+
+
+@pytest.mark.parametrize(
+    "key,value", [("max_tokens", "0"), ("max_tokens", "-1"), ("workers", "0"), ("workers", "-3")]
+)
+def test_exit_code_count_below_one(tmp_path, toy_path, capsys, key, value):
+    out = tmp_path / "out.json"
+    flag = "--" + key.replace("_", "-")
+    evaluate = ["evaluate", "--dataset", str(toy_path), "--kinds", "transpose", "--out", str(out)]
+    assert main([*evaluate, flag, value]) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = {toy_path}\nkinds = transpose\n{key} = {value}\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("config error: ") == 2
+    assert err.count(f"{key} must be >= 1, got {value}") == 2
 
 
 def test_exit_code_config_file_timeout_too_large(tmp_path, toy_path, capsys):

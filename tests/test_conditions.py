@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from freb.core import ARGMAX, EQ, RQ, AggregationDescriptor, CellCoord, QAInstance, Table
-from freb.errors import CannotPerturb, PerturbSkip
+from freb.errors import CannotPerturb, MissingAnnotation, NotEligible, PerturbSkip
 from freb.ingest import load_dataset
 from freb.perturb import (
     ALL_KINDS,
@@ -23,6 +23,8 @@ from freb.perturb import (
     REMOVE_TABLE,
     SHIFT_RELEVANT_ROWS,
     SHORTENED,
+    SHUFFLE_COLS,
+    SHUFFLE_ROWS,
     TARGET_COL_BACK,
     TARGET_COL_FRONT,
     TARGET_ROW_BOTTOM,
@@ -178,3 +180,72 @@ def test_iter_conditions_keeps_no_instance_alive(toy_path):
     del instances, condition
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
+
+
+# A reasoning question with every annotation, and what each requirement
+# takes away from it to leave an instance that lacks it.
+ANNOTATED = QAInstance(
+    id="annotated",
+    question="Which team scored the most points?",
+    answers=("Comets",),
+    table=Table.from_values(
+        ["Team", "Points"], [["Owls", "7"], ["Comets", "12"], ["Hawks", "9"]]
+    ),
+    question_type=RQ,
+    relevant_cells=(CellCoord(1, 0), CellCoord(1, 1)),
+    aggregation=AggregationDescriptor(kind=ARGMAX, value_col=1, label_col=0),
+)
+LACKS = {
+    "EQ": {"question_type": RQ},
+    "RQ": {"question_type": EQ},
+    "relevant_cells": {"relevant_cells": None},
+    "aggregation": {"aggregation": None},
+}
+EXTRACTION_ONLY = "applies to extraction questions only"
+SKIPS = {
+    SHUFFLE_ROWS: ("EQ", NotEligible, f"shuffle_rows {EXTRACTION_ONLY}"),
+    SHUFFLE_COLS: ("EQ", NotEligible, f"shuffle_cols {EXTRACTION_ONLY}"),
+    TARGET_ROW_TOP: ("EQ", NotEligible, f"target_row_top {EXTRACTION_ONLY}"),
+    TARGET_ROW_MIDDLE: ("EQ", NotEligible, f"target_row_middle {EXTRACTION_ONLY}"),
+    TARGET_ROW_BOTTOM: ("EQ", NotEligible, f"target_row_bottom {EXTRACTION_ONLY}"),
+    TARGET_COL_FRONT: ("EQ", NotEligible, f"target_col_front {EXTRACTION_ONLY}"),
+    TARGET_COL_BACK: ("EQ", NotEligible, f"target_col_back {EXTRACTION_ONLY}"),
+    TRANSPOSE: ("EQ", NotEligible, f"transpose {EXTRACTION_ONLY}"),
+    REMOVE_RELEVANT: (
+        "RQ", NotEligible, "remove_relevant applies to reasoning questions only"
+    ),
+    REMOVE_TABLE: ("RQ", NotEligible, "remove_table applies to reasoning questions only"),
+    SHIFT_RELEVANT_ROWS: (
+        "relevant_cells", MissingAnnotation, "shift_relevant_rows needs relevant-cell annotations"
+    ),
+    VALUE_AC: ("aggregation", MissingAnnotation, "value_ac needs an aggregation descriptor"),
+    VALUE_NC: ("aggregation", MissingAnnotation, "value_nc needs an aggregation descriptor"),
+    SHORTENED: ("aggregation", MissingAnnotation, "shortened needs an aggregation descriptor"),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_kind_skips_an_instance_that_lacks_its_requirement(kind):
+    requirement, skip, detail = SKIPS[kind]
+    lacking = replace(ANNOTATED, **LACKS[requirement])
+    for seed in SEEDS:
+        with pytest.raises(PerturbSkip) as raised:
+            apply_perturbation(lacking, kind, seed)
+        assert type(raised.value) is skip
+        assert str(raised.value) == detail
+    entry = {"id": lacking.id, "reason": skip.__name__, "detail": detail}
+    for condition in iter_conditions([lacking], [kind], SEEDS):
+        assert condition.perturbed == []
+        assert condition.skipped == [entry]
+
+
+def test_shift_relevant_rows_perturbs_an_annotated_extraction_question():
+    extraction = replace(ANNOTATED, question_type=EQ, aggregation=None)
+    for condition in iter_conditions([extraction], [SHIFT_RELEVANT_ROWS], SEEDS):
+        assert condition.skipped == []
+        [(perturbed, record)] = condition.perturbed
+        assert (perturbed, record) == apply_perturbation(
+            extraction, SHIFT_RELEVANT_ROWS, condition.seed
+        )
+        assert perturbed.question_type == EQ
+        assert record.params["relevant_rows"] == [1]

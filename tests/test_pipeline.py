@@ -160,6 +160,24 @@ def test_run_config_rejects_bad_timeout_or_retries(toy_path, changes):
         replace(config, **changes)
 
 
+@pytest.mark.parametrize(
+    "key,value", [("max_tokens", 0), ("max_tokens", -5), ("workers", 0), ("workers", -3)]
+)
+def test_run_config_rejects_a_count_below_one(toy_path, key, value):
+    message = f"{key} must be >= 1, got {value}"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), **{key: value})
+    # overrides go through the same check
+    config = RunConfig(dataset=toy_path, kinds=("TRANSPOSE",))
+    with pytest.raises(ConfigError, match=message):
+        replace(config, **{key: value})
+
+
+def test_run_config_accepts_one_token_and_one_worker(toy_path):
+    config = RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), max_tokens=1, workers=1)
+    assert (config.max_tokens, config.workers) == (1, 1)
+
+
 def test_run_config_accepts_the_largest_timeout(toy_path):
     assert RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), timeout=MAX_TIMEOUT_S).timeout == MAX_TIMEOUT_S
 
