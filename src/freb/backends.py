@@ -22,6 +22,7 @@ from typing import Sequence
 from .classify import ComparativeLexicon
 from .core import QAInstance
 from .errors import BackendError, ConfigError, DatasetError, FrebError
+from .ingest import iter_records
 from .metrics import ORIGINAL
 from .perturb import evaluate_aggregation, locate_target
 from .serialize import serialize
@@ -132,19 +133,12 @@ class FileBackend:
         self, condition: tuple[str, int], instances: Sequence[QAInstance]
     ) -> tuple[dict[str, str | None], dict[str, str]]:
         path = self._path_for(condition)
-        if not path.exists():
-            raise DatasetError(f"predictions file not found: {path}")
         loaded: dict[str, object] = {}
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    loaded[str(obj["instance_id"])] = obj["prediction"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise DatasetError(f"{path}: line {lineno}: bad prediction record: {exc}")
+        for lineno, record in iter_records(path, "predictions file"):
+            try:
+                loaded[str(record["instance_id"])] = record["prediction"]
+            except KeyError as exc:
+                raise DatasetError(f"{path}: line {lineno}: bad prediction record: {exc}")
         entries: dict[str, str | None] = {}
         failures: dict[str, str] = {}
         for inst in instances:

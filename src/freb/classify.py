@@ -12,12 +12,11 @@ model backend (``backends.SubprocessBackend.ask``/``HttpBackend.ask``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .core import EQ, RQ, QAInstance, answer_keys
-from .errors import BackendError
-from .ingest import tokenize
+from .errors import BackendError, DatasetError
+from .ingest import read_json, tokenize
 
 DEFAULT_EXPLICIT_WORDS = frozenset(
     {
@@ -99,17 +98,22 @@ class ComparativeLexicon:
 
     @staticmethod
     def from_file(path) -> ComparativeLexicon:
-        """Load {"explicit_words": [...], "exceptions": [...]} JSON overrides."""
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        return ComparativeLexicon(
-            explicit_words=frozenset(
-                w.lower() for w in data.get("explicit_words", DEFAULT_EXPLICIT_WORDS)
-            ),
-            exceptions=frozenset(
-                w.lower() for w in data.get("exceptions", DEFAULT_EXCEPTIONS)
-            ),
-        )
+        """Load {"explicit_words": [...], "exceptions": [...]} JSON overrides;
+        DatasetError if the file is not such an object."""
+        data = read_json(path, "lexicon file")
+        try:
+            return ComparativeLexicon(
+                explicit_words=frozenset(
+                    w.lower() for w in data.get("explicit_words", DEFAULT_EXPLICIT_WORDS)
+                ),
+                exceptions=frozenset(
+                    w.lower() for w in data.get("exceptions", DEFAULT_EXCEPTIONS)
+                ),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DatasetError(
+                f'{path}: expected {{"explicit_words": [...], "exceptions": [...]}}: {exc}'
+            ) from exc
 
 
 def _answer_in_table(instance: QAInstance) -> bool:

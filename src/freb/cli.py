@@ -10,9 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .backends import HttpBackend, SubprocessBackend
@@ -24,16 +22,17 @@ from .ingest import (
     filter_positional_questions,
     instance_to_record,
     load_dataset,
+    read_json,
     write_records,
 )
 from .perturb import iter_conditions
 from .pipeline import (
     CONFIG_CASTS,
-    RunConfig,
+    build_run_config,
     check_timeout_retries,
-    parse_config_file,
     parse_kinds,
     parse_seeds,
+    read_config_values,
     render_report_text,
     report_to_json,
     run_pipeline,
@@ -75,15 +74,10 @@ def _build_parser() -> _Parser:
 
     e = sub.add_parser("evaluate", help="run perturb -> predict -> score and write a report")
     e.add_argument("--config", help="key = value config file")
-    e.add_argument("--dataset")
-    e.add_argument("--kinds")
-    e.add_argument("--seeds")
-    e.add_argument("--backend", help="reference:<model>, file:<dir>, subprocess:<cmd>, or http:<url>")
-    e.add_argument("--max-tokens", type=int, dest="max_tokens")
-    e.add_argument("--lexicon")
-    e.add_argument("--timeout", type=float)
-    e.add_argument("--retries", type=int)
-    e.add_argument("--workers", type=int)
+    # One flag per config key, kept as text: build_run_config casts it.
+    helps = {"backend": "reference:<model>, file:<dir>, subprocess:<cmd>, or http:<url>"}
+    for key in CONFIG_CASTS:
+        e.add_argument("--" + key.replace("_", "-"), dest=key, help=helps.get(key))
     e.add_argument("--out", help="report JSON path (stdout when omitted)")
     e.add_argument("--text", action="store_true", help="also print the text rendering")
 
@@ -182,18 +176,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    values = read_config_values(args.config) if args.config else {}
     # A flag that is left out (or empty) keeps the config file's value.
-    given = {
-        key: CONFIG_CASTS[key](getattr(args, key))
-        for key in CONFIG_CASTS
-        if getattr(args, key) not in (None, "")
-    }
-    if args.config:
-        config = replace(parse_config_file(args.config), **given)
-    elif args.dataset and args.kinds:
-        config = RunConfig(**given)
-    else:
-        raise ConfigError("evaluate needs --config, or both --dataset and --kinds")
+    values.update((key, getattr(args, key)) for key in CONFIG_CASTS if getattr(args, key))
+    config = build_run_config(values)
 
     report = run_pipeline(config)
     text = report_to_json(report)
@@ -208,17 +194,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.input)
-    if not path.exists():
-        raise DatasetError(f"report file not found: {path}")
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+    report = read_json(args.input, "report file")
     try:
         text = render_report_text(report)
     except (KeyError, TypeError) as exc:
-        raise DatasetError(f"{path}: not a report produced by 'freb evaluate' ({exc})") from exc
+        raise DatasetError(f"{args.input}: not a report produced by 'freb evaluate' ({exc})") from exc
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:

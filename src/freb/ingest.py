@@ -26,7 +26,7 @@ from .core import (
     UNKNOWN,
     validate,
 )
-from .errors import DatasetError
+from .errors import DatasetError, FrebError
 
 # Positional prepositions and ordinals whose presence marks a question as
 # depending on table structure rather than content.
@@ -57,11 +57,7 @@ class PositionalWordList:
 
     @staticmethod
     def from_file(path) -> PositionalWordList:
-        words = set()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            word = line.strip().lower()
-            if word:
-                words.add(word)
+        words = {line.strip().lower() for _, line in read_lines(path, "positional word list")} - {""}
         if not words:
             raise DatasetError(f"positional word list {path} is empty")
         return PositionalWordList(frozenset(words))
@@ -164,22 +160,46 @@ def instance_from_record(record: dict) -> QAInstance:
         raise DatasetError(f"malformed record: {exc}") from exc
 
 
+def read_lines(path, what: str, error: type[FrebError] = DatasetError):
+    """(file line number, line) for each line of the UTF-8 file ``path``; every
+    input file is read here. An unreadable file raises ``error`` naming ``what``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from enumerate(handle, 1)
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_json(path, what: str):
+    """The one JSON document in the file ``path``; DatasetError if unreadable."""
+    try:
+        return json.loads("".join(line for _, line in read_lines(path, what)))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def iter_records(path, what: str = "dataset file"):
+    """(file line number, JSON object) for each non-blank line of a JSONL file."""
+    for line_no, line in read_lines(path, what):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DatasetError(f"{path}:{line_no}: record is not an object")
+        yield line_no, record
+
+
 def read_records(path) -> list[dict]:
     """Raw JSON objects, one per non-blank line; parse errors cite the line."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{line_no}: record is not an object")
-            records.append(record)
-    return records
+    return [record for _, record in iter_records(path)]
 
 
 def write_records(records, path) -> None:
@@ -194,7 +214,7 @@ def load_dataset(path) -> list[QAInstance]:
     """Load and validate a dataset file; order preserved, ids unique."""
     instances = []
     seen_ids = set()
-    for line_no, record in enumerate(read_records(path), 1):
+    for line_no, record in iter_records(path):
         try:
             instance = instance_from_record(record)
         except DatasetError as exc:
@@ -202,10 +222,10 @@ def load_dataset(path) -> list[QAInstance]:
         problems = validate(instance)
         if problems:
             raise DatasetError(
-                f"{path}: instance {instance.id!r} invalid: " + "; ".join(problems)
+                f"{path}:{line_no}: instance {instance.id!r} invalid: " + "; ".join(problems)
             )
         if instance.id in seen_ids:
-            raise DatasetError(f"{path}: duplicate instance id {instance.id!r}")
+            raise DatasetError(f"{path}:{line_no}: duplicate instance id {instance.id!r}")
         seen_ids.add(instance.id)
         instances.append(instance)
     return instances

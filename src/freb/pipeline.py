@@ -17,7 +17,7 @@ from pathlib import Path
 from .backends import parse_backend
 from .classify import ComparativeLexicon
 from .errors import ConfigError, DatasetError
-from .ingest import load_dataset
+from .ingest import load_dataset, read_lines
 from .metrics import (
     ORIGINAL,
     VpResult,
@@ -80,38 +80,33 @@ def check_timeout_retries(timeout: float, retries: int) -> None:
         raise ConfigError(f"retries must be >= 0, got {retries}")
 
 
+def _comma_list(text: str, what: str, parse, bad: str = "{exc}") -> tuple:
+    """The distinct items of a comma-separated list, in first-seen order.
+    ``parse`` turns one non-empty entry into a list of items; its ValueError
+    becomes a ConfigError worded by ``bad.format(entry=..., exc=...)``."""
+    items = []
+    for entry in filter(None, (chunk.strip() for chunk in text.split(","))):
+        try:
+            items += parse(entry)
+        except ValueError as exc:
+            raise ConfigError(bad.format(entry=entry, exc=exc)) from exc
+    if not items:
+        raise ConfigError(f"no {what} given")
+    return tuple(dict.fromkeys(items))
+
+
 def parse_kinds(text: str) -> tuple[str, ...]:
     """Comma-separated kind names; the group aliases all/structure/relevance/
     value expand in canonical order."""
-    kinds: list[str] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            kinds.extend(KIND_GROUPS.get(chunk.lower()) or [kind_from_name(chunk)])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if not kinds:
-        raise ConfigError("no perturbation kinds given")
-    return tuple(dict.fromkeys(kinds))
+    return _comma_list(
+        text, "perturbation kinds", lambda name: KIND_GROUPS.get(name.lower()) or [kind_from_name(name)]
+    )
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
-    seeds: list[int] = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            seed = int(chunk)
-        except ValueError as exc:
-            raise ConfigError(f"bad seed {chunk!r}: seeds must be integers") from exc
-        if seed not in seeds:
-            seeds.append(seed)
-    if not seeds:
-        raise ConfigError("no seeds given")
-    return tuple(seeds)
+    return _comma_list(
+        text, "seeds", lambda seed: [int(seed)], "bad seed {entry!r}: seeds must be integers"
+    )
 
 
 # How each config value (a config-file line or an evaluate flag) is read; the
@@ -130,13 +125,10 @@ CONFIG_CASTS = {
 }
 
 
-def parse_config_file(path: str | Path) -> RunConfig:
-    """Key = value lines; # starts a comment; unknown keys are errors."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def read_config_values(path: str | Path) -> dict[str, str]:
+    """Key -> text of a config file's `key = value` lines; # starts a comment."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in read_lines(path, "config file", ConfigError):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -150,20 +142,29 @@ def parse_config_file(path: str | Path) -> RunConfig:
                 + ", ".join(CONFIG_CASTS)
             )
         values[key] = value.strip()
+    return values
+
+
+def build_run_config(values: dict[str, str], where: str = "") -> RunConfig:
+    """Cast each key's text once through CONFIG_CASTS into a RunConfig;
+    ``dataset`` and ``kinds`` are required. ``where`` starts the messages raised here."""
     for key in ("dataset", "kinds"):
         if key not in values:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-
+            raise ConfigError(f"{where}missing required key {key!r} (config file or --{key})")
     fields = {}
     for key, value in values.items():
         try:
             fields[key] = CONFIG_CASTS[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {value!r}") from exc
+            raise ConfigError(f"{where}bad value for {key}: {value!r}") from exc
     try:
         return RunConfig(**fields)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}{exc}") from exc
+
+
+def parse_config_file(path: str | Path) -> RunConfig:
+    return build_run_config(read_config_values(path), where=f"{path}: ")
 
 
 def run_pipeline(config: RunConfig) -> dict:

@@ -10,7 +10,7 @@ from freb.backends import HTTP_TOKEN_ENV, SubprocessBackend
 from freb.classify import ComparativeLexicon, classify_combined, classify_rule_based
 from freb.core import EQ, RQ, QAInstance, Table
 from freb.cli import main
-from freb.errors import BackendError
+from freb.errors import BackendError, DatasetError
 from freb.ingest import read_records, save_dataset
 
 LEXICON = ComparativeLexicon()
@@ -89,6 +89,17 @@ def test_lexicon_from_file(tmp_path):
     assert lex.is_comparative("bigly") is True
     assert lex.is_comparative("most") is False  # overridden away
     assert lex.is_comparative("water") is False
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "{", '{"explicit_words": ["most"], "exceptions": ["most"]}', '{"exceptions": [1]}'],
+)
+def test_malformed_lexicon_file_is_a_data_error(tmp_path, text):
+    path = tmp_path / "lexicon.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetError, match="lexicon.json"):
+        ComparativeLexicon.from_file(path)
 
 
 def test_combined_rule_rq_is_final():

@@ -374,6 +374,73 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert "data error" in err
 
 
+# Each input file of the CLI: its argv, given the bad file's path, the toy
+# dataset and the output path, and the exit code a bad file gives.
+_INPUTS = {
+    "evaluate --dataset": (2, lambda bad, toy, out: [
+        "evaluate", "--dataset", bad, "--kinds", "transpose", "--out", out]),
+    "perturb --in": (2, lambda bad, toy, out: [
+        "perturb", "--in", bad, "--kinds", "transpose", "--out", out]),
+    "classify --in": (2, lambda bad, toy, out: ["classify", "--in", bad, "--out", out]),
+    "evaluate --config": (1, lambda bad, toy, out: ["evaluate", "--config", bad, "--out", out]),
+    "evaluate --lexicon": (2, lambda bad, toy, out: [
+        "evaluate", "--dataset", toy, "--kinds", "transpose", "--lexicon", bad, "--out", out]),
+    "classify --lexicon": (2, lambda bad, toy, out: [
+        "classify", "--in", toy, "--lexicon", bad, "--out", out]),
+    "classify --positional-words": (2, lambda bad, toy, out: [
+        "classify", "--in", toy, "--drop-positional", "--positional-words", bad, "--out", out]),
+    "file: predictions": (2, lambda bad, toy, out: [
+        "evaluate", "--dataset", toy, "--kinds", "transpose",
+        "--backend", f"file:{Path(bad).parent}", "--out", out]),
+    "report --in": (2, lambda bad, toy, out: ["report", "--in", bad, "--out", out]),
+}
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("name", list(_INPUTS))
+def test_bad_input_file_is_one_error_line(tmp_path, toy_path, capsys, name, fault):
+    # original.jsonl is the name the file: backend reads first.
+    bad = tmp_path / "in" / "original.jsonl"
+    if fault == "directory":
+        bad.mkdir(parents=True)
+    elif fault == "not utf-8":
+        bad.parent.mkdir()
+        bad.write_bytes(b"\xff\xfe")
+    code, argv = _INPUTS[name]
+    out = tmp_path / "out"
+    assert main(argv(str(bad), str(toy_path), str(out))) == code
+    err = capsys.readouterr().err
+    prefix = "config error: " if code == 1 else "data error: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert str(bad) in err
+    assert not out.exists()
+
+
+def test_flags_complete_a_config_file(tmp_path, toy_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kinds = transpose\nseeds = 0,1\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    # An empty flag keeps the file's value.
+    argv = ["evaluate", "--config", str(cfg), "--dataset", str(toy_path), "--seeds", ""]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["config"]["kinds"] == ["transpose"]
+    assert report["config"]["seeds"] == [0, 1]
+    # Neither the file nor a flag gives the dataset.
+    assert main(["evaluate", "--config", str(cfg), "--kinds", "remove_table"]) == 1
+    assert "missing required key 'dataset'" in capsys.readouterr().err
+
+
+def test_evaluate_help_lists_every_setting_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["evaluate", "--help"])
+    printed = capsys.readouterr().out
+    for flag in ("--dataset", "--kinds", "--seeds", "--backend", "--max-tokens",
+                 "--lexicon", "--timeout", "--retries", "--workers"):
+        assert flag in printed
+    assert "reference:<model>, file:<dir>, subprocess:<cmd>, or" in printed
+
+
 def test_console_script_targets_cli_main():
     # `freb ...` and `python -m freb ...` must run the same entry point.
     tomllib = pytest.importorskip("tomllib")

@@ -101,6 +101,15 @@ def test_read_records_skips_blank_lines(tmp_path):
     assert [r["id"] for r in read_records(path)] == ["a", "b"]
 
 
+def test_load_dataset_cites_the_file_line_past_blank_lines(tmp_path):
+    path = tmp_path / "bl.jsonl"
+    good = [json.dumps(dict(instance_to_record(_full_instance()), id=i)) for i in ("a", "b")]
+    bad = json.dumps({"id": "c", "question": "q", "answers": ["x"]})
+    path.write_text("\n".join([*good, "", "", bad]) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"bl\.jsonl:5: malformed record: 'table'"):
+        load_dataset(path)
+
+
 def test_read_records_rejects_non_object(tmp_path):
     path = tmp_path / "list.jsonl"
     path.write_text("[1, 2]\n", encoding="utf-8")
