@@ -102,13 +102,14 @@ class ComparativeLexicon:
         DatasetError if the file is not such an object."""
         data = read_json(path, "lexicon file")
         try:
+            explicit = data.get("explicit_words", list(DEFAULT_EXPLICIT_WORDS))
+            exceptions = data.get("exceptions", list(DEFAULT_EXCEPTIONS))
+            # A string would otherwise be read as a list of its letters.
+            if not (isinstance(explicit, list) and isinstance(exceptions, list)):
+                raise TypeError("explicit_words and exceptions must be lists")
             return ComparativeLexicon(
-                explicit_words=frozenset(
-                    w.lower() for w in data.get("explicit_words", DEFAULT_EXPLICIT_WORDS)
-                ),
-                exceptions=frozenset(
-                    w.lower() for w in data.get("exceptions", DEFAULT_EXCEPTIONS)
-                ),
+                explicit_words=frozenset(w.lower() for w in explicit),
+                exceptions=frozenset(w.lower() for w in exceptions),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise DatasetError(

@@ -24,6 +24,7 @@ from .ingest import (
     load_dataset,
     read_json,
     write_records,
+    write_text,
 )
 from .perturb import iter_conditions
 from .pipeline import (
@@ -96,7 +97,6 @@ def _cmd_perturb(args) -> int:
     kinds = parse_kinds(args.kinds)
     seeds = parse_seeds(args.seeds)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     skipped: list[dict] = []
     for condition in iter_conditions(instances, kinds, seeds):
         kind, seed = condition.kind.lower(), condition.seed
@@ -184,7 +184,7 @@ def _cmd_evaluate(args) -> int:
     report = run_pipeline(config)
     text = report_to_json(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -200,7 +200,7 @@ def _cmd_report(args) -> int:
     except (KeyError, TypeError) as exc:
         raise DatasetError(f"{args.input}: not a report produced by 'freb evaluate' ({exc})") from exc
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_text(args.out, text + "\n")
     else:
         print(text)
     return 0

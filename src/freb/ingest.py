@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .core import (
     UNKNOWN,
     validate,
 )
-from .errors import DatasetError, FrebError
+from .errors import ConfigError, DatasetError, FrebError
 
 # Positional prepositions and ordinals whose presence marks a question as
 # depending on table structure rather than content.
@@ -202,12 +203,30 @@ def read_records(path) -> list[dict]:
     return [record for _, record in iter_records(path)]
 
 
+@contextmanager
+def _writing(path):
+    """Every output file is written in here: an output path that cannot be
+    written is a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """``text`` to the UTF-8 file ``path``, whose directory must exist."""
+    with _writing(path):
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def write_records(records, path) -> None:
+    """One JSON object per line to the UTF-8 file ``path``, making its directory."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def load_dataset(path) -> list[QAInstance]:

@@ -102,17 +102,6 @@ def select(instance: QAInstance, rows, cols) -> QAInstance:
     )
 
 
-def project(instance: QAInstance, rows: list[int], cols: list[int]) -> QAInstance:
-    """``select`` for a result that keeps no relevant cells: they are
-    dropped, not remapped."""
-    return replace(
-        instance,
-        table=_select_table(instance.table, rows, cols),
-        relevant_cells=None,
-        aggregation=_select_descriptor(instance.aggregation, _positions(rows), _positions(cols)),
-    )
-
-
 def _select_table(table: Table, rows: list[int], cols: list[int]) -> Table:
     """``table`` over ``rows`` and ``cols``, in that order, sharing its cells."""
     if cols == list(range(table.n_cols)):  # whole rows, so share them too

@@ -3,13 +3,17 @@
 The oracle (``evaluate_aggregation``) computes the answer an aggregation
 descriptor implies, so every generated edit can be re-checked mechanically:
 answer-changing (AC) edits must flip the oracle's answer, answer-preserving
-(NC) edits must not.  The SHORTENED kind projects a table down to the rows
-and columns the descriptor actually reads; value edits are searched for on
-that projection and recorded in the full table's coordinates.  Each kind's
-``prepare`` does the seed-independent work (the projection, and the
-oracle's answer on it), its ``plan`` holds every draw and the oracle calls
-on edited tables, and its ``realize`` rebuilds the perturbed instance from
-the recorded params alone.
+(NC) edits must not.  The cells that decide an answer (the extremal row,
+the rows matching a COUNT filter, the two operands) are found by one helper
+each, shared by the oracle and both edit searches.  The SHORTENED kind
+projects a table down to the rows and columns the descriptor actually
+reads; value edits are searched for on that projection and recorded in the
+full table's coordinates.  An edit is the dict its params record:
+``{"row", "col", "old", "new", "class"}``, with class NUMERIC, STRING or
+ROW_REMOVAL.  Each kind's ``prepare`` does the seed-independent work (the
+projection, and the oracle's answer on it), its ``plan`` holds every draw
+and the oracle calls on edited tables, and its ``realize`` rebuilds the
+perturbed instance from the recorded params alone.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from ..core import (
     SUM,
     AggregationDescriptor,
     Cell,
-    CellCoord,
     QAInstance,
     Table,
     canonical_decimal,
@@ -41,7 +44,7 @@ from ..errors import (
     UnsupportedKind,
 )
 from ..rng import Rng
-from .structure import project, select
+from .structure import select
 
 VALUE_AC = "VALUE_AC"
 VALUE_NC = "VALUE_NC"
@@ -57,37 +60,42 @@ _EXACT = Context(prec=_MAX_EXACT_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _MEAN_DIGITS = 28
 
 
-@dataclass(frozen=True)
-class ValueEdit:
-    coord: CellCoord
-    old: str
-    new: str
-    edit_class: str  # NUMERIC | STRING | ROW_REMOVAL
-
-    def to_json(self) -> dict:
-        return {
-            "row": self.coord.row,
-            "col": self.coord.col,
-            "old": self.old,
-            "new": self.new,
-            "class": self.edit_class,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> ValueEdit:
-        return cls(
-            coord=CellCoord(int(obj["row"]), int(obj["col"])),
-            old=str(obj["old"]),
-            new=str(obj["new"]),
-            edit_class=str(obj["class"]),
-        )
-
-
 def _numeric(table: Table, row: int, col: int) -> Decimal:
     cell = table.rows[row][col]
     if cell.parsed_number is None:
         raise NonNumericCell(f"cell ({row}, {col}) is not numeric: {cell.raw!r}")
     return cell.parsed_number
+
+
+def _column_values(table: Table, col: int) -> list[Decimal]:
+    return [_numeric(table, r, col) for r in range(table.n_rows)]
+
+
+def _extremal(table: Table, d: AggregationDescriptor) -> tuple[list[Decimal], int]:
+    """An ARGMAX/ARGMIN's value column and its unique extremal row;
+    TieDetected if the extremal value appears in more than one row."""
+    if table.n_rows == 0:
+        raise ValueError(f"{d.kind} over an empty table")
+    values = _column_values(table, d.value_col)
+    best = max(values) if d.kind == ARGMAX else min(values)
+    hits = [r for r, v in enumerate(values) if v == best]
+    if len(hits) > 1:
+        raise TieDetected(f"{d.kind}: value {best} appears in rows {hits}")
+    return values, hits[0]
+
+
+def _matching_rows(table: Table, d: AggregationDescriptor) -> list[int]:
+    """The rows whose COUNT filter cell matches the needle under answer
+    normalization."""
+    col, needle = d.filter
+    target = normalize_answer(needle)
+    return [r for r, row in enumerate(table.rows) if row[col].key == target]
+
+
+def _operands(table: Table, d: AggregationDescriptor):
+    """A DIFF/COMPARE_TWO's two operand coordinates, each with its value."""
+    a, b = d.operands
+    return (a, _numeric(table, a.row, a.col)), (b, _numeric(table, b.row, b.col))
 
 
 def _exact_sum(values: list[Decimal]) -> Decimal:
@@ -133,43 +141,30 @@ def evaluate_aggregation(table: Table, descriptor: AggregationDescriptor) -> str
     if kind in (ARGMAX, ARGMIN):
         if descriptor.label_col is None:
             raise MissingAnnotation(f"{kind} needs a label column")
-        if table.n_rows == 0:
-            raise ValueError(f"{kind} over an empty table")
-        values = [_numeric(table, r, descriptor.value_col) for r in range(table.n_rows)]
-        best = max(values) if kind == ARGMAX else min(values)
-        hits = [r for r, v in enumerate(values) if v == best]
-        if len(hits) > 1:
-            raise TieDetected(f"{kind}: value {best} appears in rows {hits}")
-        return table.rows[hits[0]][descriptor.label_col].raw
+        _, row = _extremal(table, descriptor)
+        return table.rows[row][descriptor.label_col].raw
     if kind == COUNT:
         if descriptor.filter is None:
             raise MissingAnnotation("COUNT needs a filter")
-        col, needle = descriptor.filter
-        target = normalize_answer(needle)
-        return str(sum(1 for row in table.rows if row[col].key == target))
+        return str(len(_matching_rows(table, descriptor)))
     if kind in (SUM, AVG):
         if table.n_rows == 0:
             raise ValueError(f"{kind} over an empty table")
-        total = _exact_sum(
-            [_numeric(table, r, descriptor.value_col) for r in range(table.n_rows)]
-        )
+        total = _exact_sum(_column_values(table, descriptor.value_col))
         if kind == SUM:
             return canonical_decimal(total)
         return canonical_decimal(_mean(total, table.n_rows))
     if kind == DIFF:
         if not descriptor.operands:
             raise MissingAnnotation("DIFF needs two operands")
-        a, b = descriptor.operands
-        minuend, subtrahend = _numeric(table, a.row, a.col), _numeric(table, b.row, b.col)
+        (_, minuend), (_, subtrahend) = _operands(table, descriptor)
         return canonical_decimal(_exact_sum([minuend, subtrahend.copy_negate()]))
     if kind == COMPARE_TWO:
         if not descriptor.operands:
             raise MissingAnnotation("COMPARE_TWO needs two operands")
         if descriptor.label_col is None:
             raise MissingAnnotation("COMPARE_TWO needs a label column")
-        a, b = descriptor.operands
-        va = _numeric(table, a.row, a.col)
-        vb = _numeric(table, b.row, b.col)
+        (a, va), (b, vb) = _operands(table, descriptor)
         if va == vb:
             raise TieDetected(f"COMPARE_TWO: operands both equal {va}")
         winner = a.row if va > vb else b.row
@@ -177,7 +172,7 @@ def evaluate_aggregation(table: Table, descriptor: AggregationDescriptor) -> str
     raise UnsupportedKind(f"no oracle for aggregation kind {kind!r}")
 
 
-def _shortened_axes(instance: QAInstance) -> tuple[list[int], list[int]]:
+def prepare_shortened(instance: QAInstance) -> dict:
     """The rows and columns the descriptor reads.
 
     Column-wide aggregations keep every row; DIFF/COMPARE_TWO keep only the
@@ -196,16 +191,13 @@ def _shortened_axes(instance: QAInstance) -> tuple[list[int], list[int]]:
         cols.add(agg.filter[0])
     for o in agg.operands or ():
         cols.add(o.col)
-    return rows, sorted(cols)
-
-
-def prepare_shortened(instance: QAInstance) -> dict:
-    rows, cols = _shortened_axes(instance)
-    return {"rows": rows, "cols": cols}
+    return {"rows": rows, "cols": sorted(cols)}
 
 
 def realize_shortened(instance: QAInstance, params: dict) -> QAInstance:
-    return project(instance, params["rows"], params["cols"])
+    # The shortened table keeps no relevant cells; dropping them before
+    # select spares it remapping them.
+    return select(replace(instance, relevant_cells=None), params["rows"], params["cols"])
 
 
 @dataclass(frozen=True)
@@ -223,7 +215,7 @@ class Projection:
 def prepare_value_edit(instance: QAInstance) -> Projection:
     params = prepare_shortened(instance)
     shortened = realize_shortened(instance, params)
-    answer_key = _answer_key(shortened.table, shortened.aggregation)
+    answer_key = normalize_answer(evaluate_aggregation(shortened.table, shortened.aggregation))
     return Projection(params["rows"], params["cols"], shortened, answer_key)
 
 
@@ -235,7 +227,7 @@ def plan_value_edit(answer_changes: bool):
 
     def plan(projection: Projection, rng: Rng) -> dict:
         shortened, rows, cols = projection.shortened, projection.rows, projection.cols
-        _, edits, new_answer = _search_edits(
+        edits, new_answer = _search_edits(
             shortened.table,
             shortened.aggregation,
             projection.answer_key,
@@ -244,10 +236,7 @@ def plan_value_edit(answer_changes: bool):
             answer_changes,
         )
         params = {
-            "edits": [
-                {**e.to_json(), "row": rows[e.coord.row], "col": cols[e.coord.col]}
-                for e in edits
-            ],
+            "edits": [{**e, "row": rows[e["row"]], "col": cols[e["col"]]} for e in edits],
             "original_answers": list(shortened.answers),
         }
         if answer_changes:
@@ -258,9 +247,9 @@ def plan_value_edit(answer_changes: bool):
 
 
 def realize_value_edit(instance: QAInstance, params: dict) -> QAInstance:
-    edits = [ValueEdit.from_json(e) for e in params["edits"]]
+    edits = params["edits"]
     table = apply_edits(instance.table, edits)
-    removed = {e.coord.row for e in edits if e.edit_class == ROW_REMOVAL}
+    removed = {e["row"] for e in edits if e["class"] == ROW_REMOVAL}
     if removed:
         # Annotations follow the kept rows; apply_edits dropped the same rows.
         kept = [r for r in range(instance.table.n_rows) if r not in removed]
@@ -269,24 +258,16 @@ def realize_value_edit(instance: QAInstance, params: dict) -> QAInstance:
     return replace(instance, table=table, answers=answers)
 
 
-def apply_edits(table: Table, edits: list[ValueEdit]) -> Table:
+def apply_edits(table: Table, edits: list[dict]) -> Table:
     """Value edits first, then row removals from the bottom up; cells no
     edit touches are shared with ``table``, not parsed again."""
     grid = [list(row) for row in table.rows]
     for e in edits:
-        if e.edit_class != ROW_REMOVAL:
-            grid[e.coord.row][e.coord.col] = Cell(e.new)
-    for e in sorted(
-        (e for e in edits if e.edit_class == ROW_REMOVAL),
-        key=lambda e: e.coord.row,
-        reverse=True,
-    ):
-        del grid[e.coord.row]
+        if e["class"] != ROW_REMOVAL:
+            grid[e["row"]][e["col"]] = Cell(e["new"])
+    for row in sorted((e["row"] for e in edits if e["class"] == ROW_REMOVAL), reverse=True):
+        del grid[row]
     return Table(headers=table.headers, rows=tuple(tuple(row) for row in grid))
-
-
-def _column_values(table: Table, col: int) -> list[Decimal]:
-    return [_numeric(table, r, col) for r in range(table.n_rows)]
 
 
 def _delta(rng: Rng, values: list[Decimal]) -> Decimal:
@@ -308,18 +289,18 @@ def _replacement_string(pool, avoid: str, rng: Rng) -> str:
     return f"{avoid} alt" if avoid.strip() else "alt"
 
 
-def _edit(table: Table, row: int, col: int, new: str, edit_class: str) -> ValueEdit:
-    return ValueEdit(CellCoord(row, col), table.rows[row][col].raw, new, edit_class)
+def _edit(table: Table, row: int, col: int, new: str, edit_class: str) -> dict:
+    """One edit as its params record it."""
+    old = table.rows[row][col].raw
+    return {"row": row, "col": col, "old": old, "new": new, "class": edit_class}
 
 
-def _ac_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[ValueEdit]:
+def _ac_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[dict]:
     kind = d.kind
     if kind in (ARGMAX, ARGMIN):
         if table.n_rows < 2:
             raise CannotPerturb(f"{kind} needs >= 2 rows to change the answer")
-        values = _column_values(table, d.value_col)
-        best = max(values) if kind == ARGMAX else min(values)
-        extremal = values.index(best)
+        values, extremal = _extremal(table, d)
         others = [v for r, v in enumerate(values) if r != extremal]
         runner = max(others) if kind == ARGMAX else min(others)
         step = _delta(rng, values)
@@ -327,8 +308,7 @@ def _ac_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         return [_edit(table, extremal, d.value_col, canonical_decimal(new_value), NUMERIC)]
     if kind == COUNT:
         col, needle = d.filter
-        target = normalize_answer(needle)
-        matching = [r for r in range(table.n_rows) if table.rows[r][col].key == target]
+        matching = _matching_rows(table, d)
         if not matching:
             if table.n_rows == 0:
                 raise CannotPerturb("COUNT over an empty table cannot change")
@@ -336,7 +316,7 @@ def _ac_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
             return [_edit(table, row, col, needle, STRING)]
         row = rng.choice(matching)
         if rng.random() < 0.5:
-            return [ValueEdit(CellCoord(row, col), table.rows[row][col].raw, "", ROW_REMOVAL)]
+            return [_edit(table, row, col, "", ROW_REMOVAL)]
         new = _replacement_string(table.column_values(col), needle, rng)
         return [_edit(table, row, col, new, STRING)]
     if kind in (SUM, AVG):
@@ -347,29 +327,24 @@ def _ac_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         step = _delta(rng, values) * (1 if rng.random() < 0.5 else -1)
         return [_edit(table, row, d.value_col, canonical_decimal(values[row] + step), NUMERIC)]
     if kind == DIFF:
-        a, b = d.operands
-        pick = a if rng.random() < 0.5 else b
-        value = _numeric(table, pick.row, pick.col)
+        a, b = _operands(table, d)
+        pick, value = a if rng.random() < 0.5 else b
         step = _delta(rng, [value]) * (1 if rng.random() < 0.5 else -1)
         return [_edit(table, pick.row, pick.col, canonical_decimal(value + step), NUMERIC)]
     if kind == COMPARE_TWO:
-        a, b = d.operands
-        va = _numeric(table, a.row, a.col)
-        vb = _numeric(table, b.row, b.col)
+        (a, va), (b, vb) = _operands(table, d)
         small, large = (b, va) if va > vb else (a, vb)
         new_value = large + _delta(rng, [va, vb])
         return [_edit(table, small.row, small.col, canonical_decimal(new_value), NUMERIC)]
     raise UnsupportedKind(f"no answer-changing strategy for {kind!r}")
 
 
-def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[ValueEdit]:
+def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[dict]:
     kind = d.kind
     if kind in (ARGMAX, ARGMIN):
         if table.n_rows < 2:
             raise CannotPerturb(f"{kind} has no non-extremal row to edit")
-        values = _column_values(table, d.value_col)
-        best = max(values) if kind == ARGMAX else min(values)
-        extremal = values.index(best)
+        values, extremal = _extremal(table, d)
         row = rng.choice([r for r in range(table.n_rows) if r != extremal])
         old = values[row]
         factor = Decimal(rng.randint(10, 1000))
@@ -380,8 +355,8 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         return [_edit(table, row, d.value_col, canonical_decimal(new_value), NUMERIC)]
     if kind == COUNT:
         col, needle = d.filter
-        target = normalize_answer(needle)
-        non_matching = [r for r in range(table.n_rows) if table.rows[r][col].key != target]
+        matching = set(_matching_rows(table, d))
+        non_matching = [r for r in range(table.n_rows) if r not in matching]
         other_cols = [c for c in range(table.n_cols) if c != col]
         options = []
         if other_cols and table.n_rows:
@@ -399,7 +374,7 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         row = rng.choice(non_matching)
         pool = [table.rows[r][col].raw for r in non_matching]
         new = _replacement_string(pool, table.rows[row][col].raw, rng)
-        if normalize_answer(new) == target:
+        if normalize_answer(new) == normalize_answer(needle):
             raise CannotPerturb("no non-matching replacement available")
         return [_edit(table, row, col, new, STRING)]
     if kind in (SUM, AVG, DIFF):
@@ -421,23 +396,17 @@ def _nc_candidate(table: Table, d: AggregationDescriptor, rng: Rng) -> list[Valu
         new = _replacement_string(table.column_values(c), table.rows[row][c].raw, rng)
         return [_edit(table, row, c, new, STRING)]
     if kind == COMPARE_TWO:
-        a, b = d.operands
-        va = _numeric(table, a.row, a.col)
-        vb = _numeric(table, b.row, b.col)
+        (a, va), (b, vb) = _operands(table, d)
         larger, value = (a, va) if va > vb else (b, vb)
         new_value = value + _delta(rng, [va, vb])
         return [_edit(table, larger.row, larger.col, canonical_decimal(new_value), NUMERIC)]
     raise UnsupportedKind(f"no answer-preserving strategy for {kind!r}")
 
 
-def _answer_key(table: Table, descriptor: AggregationDescriptor) -> str:
-    return normalize_answer(evaluate_aggregation(table, descriptor))
-
-
 def _search_edits(table, descriptor, original_key, rng, candidate, answer_changes: bool):
     """Draw up to _MAX_ATTEMPTS candidate edits until one changes (or keeps)
-    the oracle's answer, ``original_key`` when normalized; returns (edited
-    table, edits, new answer)."""
+    the oracle's answer, ``original_key`` when normalized; returns (edits,
+    new answer)."""
     for _ in range(_MAX_ATTEMPTS):
         edits = candidate(table, descriptor, rng)
         edited = apply_edits(table, edits)
@@ -446,6 +415,6 @@ def _search_edits(table, descriptor, original_key, rng, candidate, answer_change
         except TieDetected:
             continue
         if (normalize_answer(new) != original_key) == answer_changes:
-            return edited, edits, new
+            return edits, new
     goal = "change the {} answer" if answer_changes else "keep the {} answer stable"
     raise CannotPerturb(f"could not {goal.format(descriptor.kind)} in {_MAX_ATTEMPTS} attempts")

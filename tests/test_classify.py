@@ -93,7 +93,14 @@ def test_lexicon_from_file(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["[]", "{", '{"explicit_words": ["most"], "exceptions": ["most"]}', '{"exceptions": [1]}'],
+    [
+        "[]",
+        "{",
+        '{"explicit_words": ["most"], "exceptions": ["most"]}',
+        '{"exceptions": [1]}',
+        '{"explicit_words": "most"}',
+        '{"exceptions": "water"}',
+    ],
 )
 def test_malformed_lexicon_file_is_a_data_error(tmp_path, text):
     path = tmp_path / "lexicon.json"

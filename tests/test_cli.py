@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, outputs, exit codes."""
 
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -448,3 +449,56 @@ def test_console_script_targets_cli_main():
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
     module_name, _, attr = scripts["freb"].partition(":")
     assert getattr(importlib.import_module(module_name), attr) is main
+
+
+# Each subcommand that writes an --out path: its argv, given the toy dataset,
+# a saved report and the unwritable output path.
+_OUTPUTS = {
+    "evaluate": lambda toy, report, out: [
+        "evaluate", "--dataset", toy, "--kinds", "transpose", "--seeds", "0", "--out", out],
+    "report": lambda toy, report, out: ["report", "--in", report, "--out", out],
+    "perturb": lambda toy, report, out: [
+        "perturb", "--in", toy, "--kinds", "transpose", "--seeds", "0", "--out", out],
+    "classify": lambda toy, report, out: ["classify", "--in", toy, "--out", out],
+    "toydata": lambda toy, report, out: ["toydata", "--out", out],
+}
+
+
+@pytest.mark.parametrize("name", list(_OUTPUTS))
+def test_unwritable_output_is_one_config_error_line(tmp_path, toy_path, capsys, name):
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--dataset", str(toy_path), "--kinds", "transpose", "--seeds", "0"]
+    assert main([*argv, "--out", str(report)]) == 0
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    # evaluate and report make no directory; the others cannot make one under a file.
+    parent = tmp_path / "nodir" if name in ("evaluate", "report") else a_file
+    out = parent / "out.txt"
+    capsys.readouterr()
+    assert main(_OUTPUTS[name](str(toy_path), str(report), str(out))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert not parent.is_dir()
+
+
+# sha256 of the files `freb perturb --kinds all --seeds 0,1,2,3,4` writes for
+# each `freb toydata` variant, concatenated in name order; any change to a
+# kind's params or to the perturbed instances shows here.
+PERTURB_SHA256 = {
+    "main": "acbdd0157532467130daef0d277ecee72304c74698b2613d556d6ef8b6b8aa58",
+    "sorted": "c06da9439d811de167fa24b5c77d9d030df9dd8dca0940792e1f72b6b5a46df8",
+}
+
+
+@pytest.mark.parametrize("variant", list(PERTURB_SHA256))
+def test_perturb_output_bytes_are_pinned(tmp_path, variant):
+    data = tmp_path / f"{variant}.jsonl"
+    assert main(["toydata", "--out", str(data), "--variant", variant]) == 0
+    out = tmp_path / "perturbed"
+    argv = ["perturb", "--in", str(data), "--out", str(out), "--kinds", "all"]
+    assert main([*argv, "--seeds", "0,1,2,3,4"]) == 0
+    digest = hashlib.sha256()
+    for name in sorted(p.name for p in out.iterdir()):
+        digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == PERTURB_SHA256[variant]

@@ -1,5 +1,6 @@
 """Aggregation oracle, table projection and answer-change/no-change edits."""
 
+import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,7 +35,6 @@ from freb.perturb import (
     SHORTENED,
     VALUE_AC,
     VALUE_NC,
-    ValueEdit,
     apply_edits,
     apply_perturbation,
     evaluate_aggregation,
@@ -252,10 +252,14 @@ def test_shorten_requires_descriptor():
 # --- edits ----------------------------------------------------------------------
 
 
+def _entry(row, col, old, new, edit_class):
+    return {"row": row, "col": col, "old": old, "new": new, "class": edit_class}
+
+
 def test_apply_edits_value_and_removal():
     edits = [
-        ValueEdit(CellCoord(0, 2), "31", "40", "NUMERIC"),
-        ValueEdit(CellCoord(2, 0), "", "", ROW_REMOVAL),
+        _entry(0, 2, "31", "40", "NUMERIC"),
+        _entry(2, 0, "", "", ROW_REMOVAL),
     ]
     out = apply_edits(SCORES, edits)
     assert out.n_rows == 3
@@ -269,18 +273,11 @@ def test_apply_edits_value_and_removal():
 
 def test_apply_edits_two_removals_bottom_up():
     edits = [
-        ValueEdit(CellCoord(1, 0), "", "", ROW_REMOVAL),
-        ValueEdit(CellCoord(3, 0), "", "", ROW_REMOVAL),
+        _entry(1, 0, "", "", ROW_REMOVAL),
+        _entry(3, 0, "", "", ROW_REMOVAL),
     ]
     out = apply_edits(SCORES, edits)
     assert [r[0].raw for r in out.rows] == ["Ayola", "Cusk"]
-
-
-def test_value_edit_json_round_trip():
-    edit = ValueEdit(CellCoord(2, 1), "19", "25", "NUMERIC")
-    data = edit.to_json()
-    assert data == {"row": 2, "col": 1, "old": "19", "new": "25", "class": "NUMERIC"}
-    assert ValueEdit.from_json(data) == edit
 
 
 # SUM, AVG and DIFF name a label column so that the projection the value
@@ -313,8 +310,22 @@ def _value_edit(descriptor, answers, answer_changes, seed, table=SCORES):
     table's coordinates, params)."""
     instance = _rq_instance(descriptor, answers, table=table)
     params = plan_value_edit(answer_changes)(prepare_value_edit(instance), Rng(seed))
-    edits = [ValueEdit.from_json(e) for e in params["edits"]]
-    return realize_value_edit(instance, params), edits, params
+    return realize_value_edit(instance, params), params["edits"], params
+
+
+def test_value_edit_json_round_trip():
+    # value_ac and value_nc record each edit as exactly these keys, in this
+    # order, and replay the same instance from params that went through JSON.
+    for descriptor, answers in ALL_DESCRIPTORS:
+        for answer_changes in (True, False):
+            for seed in range(6):
+                edited, edits, params = _value_edit(descriptor, answers, answer_changes, seed)
+                assert edits
+                for edit in edits:
+                    assert list(edit) == ["row", "col", "old", "new", "class"]
+                instance = _rq_instance(descriptor, answers)
+                replayed = realize_value_edit(instance, json.loads(json.dumps(params)))
+                assert replayed == edited
 
 
 @pytest.mark.parametrize("descriptor,answers", ALL_DESCRIPTORS, ids=lambda v: getattr(v, "kind", ""))
@@ -347,7 +358,7 @@ def test_count_answer_change_can_remove_rows():
     classes = set()
     for seed in range(40):
         _, edits, _ = _value_edit(descriptor, ("2",), True, seed)
-        classes.update(e.edit_class for e in edits)
+        classes.update(e["class"] for e in edits)
     assert ROW_REMOVAL in classes
     assert classes - {ROW_REMOVAL}  # cell edits appear too
 
@@ -364,7 +375,7 @@ def test_sum_no_change_leaves_operand_column_alone():
     for seed in range(10):
         edited, edits, _ = _value_edit(descriptor, ("82",), False, seed)
         for edit in edits:
-            assert edit.coord.col != 2
+            assert edit["col"] != 2
         assert evaluate_aggregation(edited.table, edited.aggregation) == "82"
 
 
@@ -375,7 +386,7 @@ def test_extremal_no_change_keeps_winner_label():
         assert evaluate_aggregation(edited.table, edited.aggregation) == "Dorn"
         # the winning row's cells are off-limits
         for edit in edits:
-            assert edit.coord.row != 3
+            assert edit["row"] != 3
 
 
 def test_cannot_perturb_single_row_extremal():
