@@ -9,6 +9,10 @@ The reference models are deliberately simple probes: a faithful oracle that
 actually reads the table, positionally biased readers, and a constant-answer
 model.  A harness that cannot distinguish these has no business judging
 real systems.
+
+``answers_by_input`` says whether a backend's answer depends on the input
+alone, so a run may ask it about each perturbed instance once per kind;
+a prediction file answers per condition.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ def _faithful(instance: QAInstance) -> str:
 
 
 class ReferenceBackend:
+    answers_by_input = True
+
     def __init__(
         self,
         name: str,
@@ -115,6 +121,8 @@ class FileBackend:
     """Reads pre-computed predictions: one JSONL file per condition, named
     original.jsonl or <kind>.seed<k>.jsonl, lines {"instance_id", "prediction"}.
     A missing or null prediction is recorded as that instance's failure."""
+
+    answers_by_input = False
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -165,6 +173,8 @@ class _Transport:
     failure).  The stdlib modules a transport sends with are imported on
     first use, so building any other backend never loads them.
     """
+
+    answers_by_input = True
 
     def __init__(self, timeout: float, retries: int, workers: int):
         self.timeout = timeout

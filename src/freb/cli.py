@@ -19,6 +19,7 @@ from .core import EQ, RQ, UNKNOWN
 from .errors import BackendError, ConfigError, DatasetError
 from .ingest import (
     PositionalWordList,
+    check_output_dir,
     filter_positional_questions,
     instance_to_record,
     load_dataset,
@@ -180,6 +181,8 @@ def _cmd_evaluate(args) -> int:
     # A flag that is left out (or empty) keeps the config file's value.
     values.update((key, getattr(args, key)) for key in CONFIG_CASTS if getattr(args, key))
     config = build_run_config(values)
+    if args.out:
+        check_output_dir(args.out)
 
     report = run_pipeline(config)
     text = report_to_json(report)

@@ -59,3 +59,7 @@ class CannotPerturb(PerturbSkip):
 
 class NotEligible(PerturbSkip):
     """The instance's question type does not fit the perturbation."""
+
+
+class GoldMismatch(PerturbSkip):
+    """The aggregation descriptor's answer is not one of the gold answers."""

@@ -14,6 +14,7 @@ native dataset formats are expected to emit this format; none are bundled.
 from __future__ import annotations
 
 import json
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -211,6 +212,13 @@ def _writing(path):
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+
+
+def check_output_dir(path) -> None:
+    """ConfigError naming ``path`` now when its directory cannot be opened,
+    so a long run learns before it starts that its output cannot be written."""
+    with _writing(path), os.scandir(Path(path).parent):
+        pass
 
 
 def write_text(path, text: str) -> None:

@@ -12,8 +12,9 @@ those params alone.
 its random stream and records the provenance; ``replay`` rebuilds any
 perturbed instance from its record.  ``iter_conditions`` is the kinds x seeds
 x instances loop that ``freb perturb`` and ``freb evaluate`` share; it runs
-each (instance, kind)'s prepare once for all seeds, and reuses the params
-and realized instance of a plan that made no draw for the later seeds.
+each (instance, kind)'s prepare once for all seeds, and realizes each
+distinct params of an (instance, kind) once: a seed whose plan returns
+params an earlier seed returned gets that seed's perturbed instance object.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from ..core import EQ, RQ, QAInstance
 from ..errors import MissingAnnotation, NotEligible, PerturbSkip, UnsupportedKind
-from ..rng import Rng, derive_rng, derive_seed
+from ..rng import Rng, derive_rng
 from .relevance import (
     REMOVE_RELEVANT,
     REMOVE_TABLE,
@@ -89,7 +90,8 @@ class KindSpec:
     returns what ``plan`` needs (the instance itself, for the shuffles).
     ``plan(prepared, rng)`` makes every draw and may raise a PerturbSkip too;
     a plan that draws nothing returns the same params for every seed.
-    ``realize(instance, params)`` is pure and returns the perturbed instance.
+    ``realize(instance, params)`` is pure and returns the perturbed instance,
+    so equal params may share one.
     """
 
     name: str
@@ -227,15 +229,6 @@ class _Skipped:
     entry: dict
 
 
-@dataclass(frozen=True)
-class _Fixed:
-    """The outcome of a plan that drew nothing: every seed gets these
-    params and this perturbed instance."""
-
-    perturbed: QAInstance
-    params: dict
-
-
 def _skip_entry(instance: QAInstance, exc: PerturbSkip) -> dict:
     return {"id": instance.id, "reason": type(exc).__name__, "detail": str(exc)}
 
@@ -247,14 +240,20 @@ def iter_conditions(
 
     Gives what ``apply_perturbation`` gives for each (kind, seed, instance),
     in that order, but runs each (instance, kind)'s prepare step once, and
-    plans and realizes an (instance, kind) once when its plan draws nothing.
-    Nothing is kept past the call.
+    realizes each distinct params of an (instance, kind) once: the seeds
+    whose plans return equal params share one perturbed instance object.
+    Every plan still runs, so every draw and record is as it was.  Nothing
+    is kept past the kind that made it.
     """
     for kind in kinds:
         spec = _spec(kind)
         # Per instance, filled at the first seed: the prepared input of its
-        # plan, or a _Skipped or _Fixed outcome that holds for every seed.
+        # plan, or the _Skipped outcome that holds for every seed.
         state: list = [_UNPREPARED] * len(instances)
+        # (instance index, repr(params)) -> the instance realized from them.
+        # Params are JSON-able dicts built in a fixed key order, so equal
+        # reprs mean equal params.
+        realized: dict[tuple[int, str], QAInstance] = {}
         for seed in seeds:
             perturbed = []
             skipped = []
@@ -268,20 +267,15 @@ def iter_conditions(
                 if isinstance(known, _Skipped):
                     skipped.append(known.entry)
                     continue
-                if isinstance(known, _Fixed):
-                    record = PerturbationRecord(
-                        kind, derive_seed(seed, inst.id, kind), known.params, inst.id
-                    )
-                    perturbed.append((known.perturbed, record))
-                    continue
                 rng = derive_rng(seed, inst.id, kind)
                 try:
                     params = spec.plan(known, rng)
                 except PerturbSkip as exc:
                     skipped.append(_skip_entry(inst, exc))
                     continue
-                out = spec.realize(inst, params)
+                key = (i, repr(params))
+                out = realized.get(key)
+                if out is None:
+                    out = realized[key] = spec.realize(inst, params)
                 perturbed.append((out, PerturbationRecord(kind, rng.seed, params, inst.id)))
-                if not rng.drawn:
-                    state[i] = _Fixed(out, params)
             yield Condition(kind, seed, perturbed, skipped)

@@ -11,9 +11,10 @@ reads; value edits are searched for on that projection and recorded in the
 full table's coordinates.  An edit is the dict its params record:
 ``{"row", "col", "old", "new", "class"}``, with class NUMERIC, STRING or
 ROW_REMOVAL.  Each kind's ``prepare`` does the seed-independent work (the
-projection, and the oracle's answer on it), its ``plan`` holds every draw
-and the oracle calls on edited tables, and its ``realize`` rebuilds the
-perturbed instance from the recorded params alone.
+projection, and the oracle's answer on it, which must be a gold answer),
+its ``plan`` holds every draw and the oracle calls on edited tables, and
+its ``realize`` rebuilds the perturbed instance from the recorded params
+alone.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ from ..core import (
     Cell,
     QAInstance,
     Table,
+    answer_keys,
     canonical_decimal,
     normalize_answer,
 )
 from ..errors import (
     CannotPerturb,
+    GoldMismatch,
     MissingAnnotation,
     NonNumericCell,
     TieDetected,
@@ -172,28 +175,6 @@ def evaluate_aggregation(table: Table, descriptor: AggregationDescriptor) -> str
     raise UnsupportedKind(f"no oracle for aggregation kind {kind!r}")
 
 
-def prepare_shortened(instance: QAInstance) -> dict:
-    """The rows and columns the descriptor reads.
-
-    Column-wide aggregations keep every row; DIFF/COMPARE_TWO keep only the
-    operand rows.  Kept columns are the value column plus any label, filter,
-    and operand columns, in their original order.
-    """
-    agg = instance.aggregation
-    if agg.kind in (DIFF, COMPARE_TWO):
-        rows = sorted({o.row for o in (agg.operands or ())})
-    else:
-        rows = list(range(instance.table.n_rows))
-    cols = {agg.value_col}
-    if agg.label_col is not None:
-        cols.add(agg.label_col)
-    if agg.filter is not None:
-        cols.add(agg.filter[0])
-    for o in agg.operands or ():
-        cols.add(o.col)
-    return {"rows": rows, "cols": sorted(cols)}
-
-
 def realize_shortened(instance: QAInstance, params: dict) -> QAInstance:
     # The shortened table keeps no relevant cells; dropping them before
     # select spares it remapping them.
@@ -213,10 +194,41 @@ class Projection:
 
 
 def prepare_value_edit(instance: QAInstance) -> Projection:
-    params = prepare_shortened(instance)
-    shortened = realize_shortened(instance, params)
-    answer_key = normalize_answer(evaluate_aggregation(shortened.table, shortened.aggregation))
-    return Projection(params["rows"], params["cols"], shortened, answer_key)
+    """The shortened instance: the rows and columns the descriptor reads.
+
+    Column-wide aggregations keep every row; DIFF/COMPARE_TWO keep only the
+    operand rows.  Kept columns are the value column plus any label, filter,
+    and operand columns, in their original order.  GoldMismatch if the
+    descriptor's answer is not a gold answer: edits certified against it
+    would score the model against answers nobody checked.
+    """
+    agg = instance.aggregation
+    if agg.kind in (DIFF, COMPARE_TWO):
+        rows = sorted({o.row for o in (agg.operands or ())})
+    else:
+        rows = list(range(instance.table.n_rows))
+    cols = {agg.value_col}
+    if agg.label_col is not None:
+        cols.add(agg.label_col)
+    if agg.filter is not None:
+        cols.add(agg.filter[0])
+    for o in agg.operands or ():
+        cols.add(o.col)
+    cols = sorted(cols)
+    shortened = realize_shortened(instance, {"rows": rows, "cols": cols})
+    answer = evaluate_aggregation(shortened.table, shortened.aggregation)
+    answer_key = normalize_answer(answer)
+    if answer_key not in answer_keys(instance.answers):
+        raise GoldMismatch(
+            f"the descriptor's answer {answer!r} is not a gold answer: {list(instance.answers)!r}"
+        )
+    return Projection(rows, cols, shortened, answer_key)
+
+
+def prepare_shortened(instance: QAInstance) -> dict:
+    """The params of SHORTENED: the projection's ``rows`` and ``cols``."""
+    projection = prepare_value_edit(instance)
+    return {"rows": projection.rows, "cols": projection.cols}
 
 
 def plan_value_edit(answer_changes: bool):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 from .backends import parse_backend
@@ -195,10 +196,15 @@ def run_pipeline(config: RunConfig) -> dict:
     # Perturbations never change the question, so its cue is computed once.
     has_cue = {inst.id: lexicon.question_has_cue(inst.question) for inst in kept}
 
-    conditions = [
-        _score_condition(backend, condition, original_correct, has_cue)
-        for condition in iter_conditions(kept, config.kinds, config.seeds)
-    ]
+    conditions = []
+    for _, same_kind in groupby(
+        iter_conditions(kept, config.kinds, config.seeds), key=lambda c: c.kind
+    ):
+        answered: dict = {}
+        conditions += [
+            _score_condition(backend, condition, original_correct, has_cue, answered)
+            for condition in same_kind
+        ]
 
     report = {
         "model": backend.model_id,
@@ -242,7 +248,10 @@ _SUMMARY_SCORES = tuple(
 )
 
 
-def _score_condition(backend, condition: Condition, original_correct, has_cue) -> dict:
+def _score_condition(backend, condition: Condition, original_correct, has_cue, answered) -> dict:
+    """Score one condition.  ``answered`` maps id() of each perturbed
+    instance answered earlier in this kind to (the instance, whether the
+    answer was correct); holding the instance keeps its id from reuse."""
     perturbed = [inst for inst, _ in condition.perturbed]
     entry: dict = {
         "kind": condition.kind.lower(),
@@ -255,10 +264,17 @@ def _score_condition(backend, condition: Condition, original_correct, has_cue) -
         entry.update(dict.fromkeys(_CONDITION_SCORES))
         return entry
 
-    entries, failures = backend.predictions_for((condition.kind, condition.seed), perturbed)
-    after_correct = {
-        inst.id: is_correct(entries.get(inst.id), inst.answers) for inst in perturbed
-    }
+    asked = [inst for inst in perturbed if id(inst) not in answered]
+    entries, failures = backend.predictions_for((condition.kind, condition.seed), asked)
+    after_correct = {}
+    for inst in perturbed:
+        known = answered.get(id(inst))
+        if known is None:
+            known = (inst, is_correct(entries.get(inst.id), inst.answers))
+            # A failure is not remembered: the next seed asks again.
+            if backend.answers_by_input and inst.id not in failures:
+                answered[id(inst)] = known
+        after_correct[inst.id] = known[1]
     before_correct = {inst.id: original_correct[inst.id] for inst in perturbed}
     compare_ids = {inst.id for inst in perturbed if has_cue[inst.id]}
 

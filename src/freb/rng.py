@@ -36,14 +36,7 @@ class Rng:
         state = _splitmix64(seed & _MASK64)
         # xorshift needs a non-zero state; splitmix64 maps exactly one input
         # to zero, remap it to the gamma constant.
-        self._state = self._start = state if state != 0 else _SPLITMIX_GAMMA
-
-    @property
-    def drawn(self) -> bool:
-        """Whether anything has been drawn from this stream.  xorshift64*
-        never revisits a state within its 2**64 - 1 period, so a moved state
-        means a draw."""
-        return self._state != self._start
+        self._state = state if state != 0 else _SPLITMIX_GAMMA
 
     def next_u64(self) -> int:
         x = self._state

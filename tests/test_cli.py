@@ -10,6 +10,7 @@ import pytest
 from freb.cli import main
 from freb.ingest import instance_from_record, load_dataset, read_records
 from freb.perturb import PerturbationRecord, kind_from_name, replay
+from freb.pipeline import RunConfig, parse_kinds, report_to_json, run_pipeline
 from freb.rng import derive_seed
 
 
@@ -502,3 +503,44 @@ def test_perturb_output_bytes_are_pinned(tmp_path, variant):
     for name in sorted(p.name for p in out.iterdir()):
         digest.update((out / name).read_bytes())
     assert digest.hexdigest() == PERTURB_SHA256[variant]
+
+
+def test_evaluate_checks_the_output_directory_before_the_run(tmp_path, toy_path, monkeypatch, capsys):
+    cli = importlib.import_module("freb.cli")
+    runs = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda config: runs.append(config))
+    out = tmp_path / "nodir" / "r.json"
+    argv = ["evaluate", "--dataset", str(toy_path), "--kinds", "transpose", "--seeds", "0"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot write output {out}: No such file or directory\n"
+    )
+    assert runs == []
+    assert not out.parent.exists()
+
+
+# sha256 of report_to_json(run_pipeline(...)) for `--kinds all --seeds
+# 0,1,2,3,4` on each `freb toydata` variant, by its relative default name
+# (the report records the dataset path as given); any change to a
+# perturbation, an answer, a score or a skip entry shows here.
+REPORT_SHA256 = {
+    ("main", "faithful_oracle"): "86601b369e42df973777a96df2b5e5632a629f92045e0d25f0290f04ae79d59c",
+    ("main", "last_row_biased"): "10bd9577d32451ba27eeadc3e11679237d9d46d2c702b0cbe1cdfd4a59eeb1d5",
+    ("sorted", "faithful_oracle"): "717605053e3e2dc8078309ddcf1ac89e3c268ba5f183065d2a14db0c6dc62a75",
+    ("sorted", "last_row_biased"): "7fdd88ae117ba30905bac77cef19c437a7d3f4e54b2556e38220394526c38dea",
+}
+
+
+@pytest.mark.parametrize("variant,model", list(REPORT_SHA256))
+def test_evaluate_report_bytes_are_pinned(tmp_path, monkeypatch, variant, model):
+    monkeypatch.chdir(tmp_path)
+    data = "toy_sorted.jsonl" if variant == "sorted" else "toy.jsonl"
+    assert main(["toydata", "--out", data, "--variant", variant]) == 0
+    config = RunConfig(
+        dataset=Path(data),
+        kinds=parse_kinds("all"),
+        seeds=(0, 1, 2, 3, 4),
+        backend=f"reference:{model}",
+    )
+    text = report_to_json(run_pipeline(config))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[variant, model]

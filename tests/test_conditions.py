@@ -1,15 +1,15 @@
 """The shared condition loop against the one-instance path.
 
 ``iter_conditions`` runs each (instance, kind)'s seed-independent prepare
-step once and reuses the outcome of a plan that drew nothing; these tests
-check that it still gives exactly what ``apply_perturbation`` gives, and
-that the work it saves is really done only once.
+step once and realizes each distinct params of an (instance, kind) once;
+these tests check that it still gives exactly what ``apply_perturbation``
+gives, and that the work it saves is really done only once.
 """
 
 import gc
 import importlib
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -116,14 +116,17 @@ def test_seed_independent_work_runs_once(monkeypatch, toy_instances, sorted_inst
     instances = [*toy_instances, *sorted_instances]
     calls = Counter()
     _counting_specs(monkeypatch, calls)
-    perturbed, no_draw = Counter(), Counter()
+    perturbed = Counter()
+    # (source id, kind) -> repr(params) -> ids of the instances given for them.
+    # A kind's perturbed instances live until the kind ends, so their ids
+    # are distinct within it.
+    shared = defaultdict(lambda: defaultdict(set))
     for condition in iter_conditions(instances, ALL_KINDS, SEEDS):
-        for _, record in condition.perturbed:
+        for out, record in condition.perturbed:
             key = (record.source_id, record.kind)
             perturbed[key] += 1
             assert record.seed == derive_seed(condition.seed, *key)
-            if record.kind in NO_DRAW_KINDS or record.params.get("noop"):
-                no_draw[key] += 1
+            shared[key][repr(record.params)].add(id(out))
 
     for inst in instances:
         for kind in ALL_KINDS:
@@ -131,13 +134,16 @@ def test_seed_independent_work_runs_once(monkeypatch, toy_instances, sorted_inst
             assert calls[("prepare", *key)] == 1, key
             located = kind in TARGET_KINDS and inst.question_type == EQ
             assert calls[("locate_target", *key)] == located, key
-            if no_draw[key]:
-                assert no_draw[key] == len(SEEDS), key
-                assert calls[("realize", *key)] == 1, key
-            else:
-                assert calls[("realize", *key)] == perturbed[key], key
-    # Every no-draw outcome the test relies on really occurs.
-    assert {kind for _, kind in no_draw} == NO_DRAW_KINDS | {SHIFT_RELEVANT_ROWS}
+            # Seeds with equal params share one realized instance.
+            assert calls[("realize", *key)] == len(shared[key]), key
+            assert all(len(ids) == 1 for ids in shared[key].values()), key
+            if kind in NO_DRAW_KINDS and perturbed[key]:
+                assert perturbed[key] == len(SEEDS) and len(shared[key]) == 1, key
+    # Reuse really occurs for kinds whose plans draw: fewer realizes than
+    # perturbed instances.
+    for kind in (SHUFFLE_ROWS, SHIFT_RELEVANT_ROWS, *TARGET_KINDS):
+        keys = [key for key in perturbed if key[1] == kind]
+        assert sum(len(shared[key]) for key in keys) < sum(perturbed[key] for key in keys), kind
 
 
 def test_a_skip_the_plan_raises_is_listed_for_every_seed(monkeypatch):

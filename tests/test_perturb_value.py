@@ -25,6 +25,7 @@ from freb.core import (
 )
 from freb.errors import (
     CannotPerturb,
+    GoldMismatch,
     MissingAnnotation,
     NonNumericCell,
     TieDetected,
@@ -434,6 +435,27 @@ def test_apply_value_requires_descriptor():
     )
     with pytest.raises(MissingAnnotation):
         apply_perturbation(inst, VALUE_AC, global_seed=0)
+
+
+# Each descriptor of ALL_DESCRIPTORS with a gold answer it does not give.
+WRONG_GOLD = ["Brant", "Ayola", "3", "81", "20", "-7", "Brant"]
+
+
+@pytest.mark.parametrize("kind", [VALUE_AC, VALUE_NC, SHORTENED])
+def test_value_kinds_skip_an_instance_whose_descriptor_disagrees_with_gold(kind):
+    for (descriptor, answers), wrong in zip(ALL_DESCRIPTORS, WRONG_GOLD):
+        instance = _rq_instance(descriptor, (wrong,))
+        for seed in range(3):
+            with pytest.raises(GoldMismatch) as raised:
+                apply_perturbation(instance, kind, global_seed=seed)
+            # The detail names the descriptor's answer and the gold.
+            assert str(raised.value) == (
+                f"the descriptor's answer {evaluate_aggregation(SCORES, descriptor)!r} "
+                f"is not a gold answer: {[wrong]!r}"
+            )
+        # Gold that agrees once normalized, beside one that does not, is kept.
+        agreeing = _rq_instance(descriptor, ("wrong", answers[0].upper()))
+        apply_perturbation(agreeing, kind, global_seed=0)
 
 
 def test_apply_value_ac_row_removal_remaps(toy_instances):

@@ -448,6 +448,67 @@ def test_pipeline_file_backend_round_trip(tmp_path, toy_path):
     assert from_files["original"]["em"] == direct["original"]["em"]
 
 
+def test_pipeline_asks_a_reference_model_each_perturbed_instance_once_per_kind(
+    toy_path, monkeypatch
+):
+    from collections import Counter
+
+    from freb.backends import ReferenceBackend
+    from freb.metrics import ORIGINAL
+
+    seen = []  # (kind, instance, failed); holding the instance keeps its id
+    plain = ReferenceBackend.predictions_for
+
+    def counting(self, condition, instances):
+        entries, failures = plain(self, condition, instances)
+        seen.extend((condition[0], inst, inst.id in failures) for inst in instances)
+        return entries, failures
+
+    monkeypatch.setattr(ReferenceBackend, "predictions_for", counting)
+    seeds = (0, 1, 2)
+    kinds = ("SHUFFLE_ROWS", "TARGET_ROW_TOP", "REMOVE_TABLE", "SHORTENED")
+    report = run_pipeline(RunConfig(dataset=toy_path, kinds=kinds, seeds=seeds))
+
+    asks = Counter((kind, id(inst)) for kind, inst, _ in seen if kind != ORIGINAL)
+    failed = {(kind, id(inst)) for kind, inst, was in seen if was}
+    # The faithful oracle cannot answer without a table, so every
+    # remove_table instance fails, and is asked again at every seed.
+    assert {kind for kind, _ in failed} == {"REMOVE_TABLE"}
+    assert all(asks[key] == len(seeds) for key in failed)
+    # An answered instance is asked once for all the seeds that share it.
+    assert all(n == 1 for key, n in asks.items() if key not in failed)
+    perturbed = sum(c["n"] for c in report["conditions"])
+    assert sum(asks.values()) < perturbed
+    for kind in ("SHUFFLE_ROWS", "TARGET_ROW_TOP", "SHORTENED"):
+        assert sum(1 for k, _ in asks if k == kind) < sum(
+            c["n"] for c in report["conditions"] if c["kind"] == kind.lower()
+        ), kind
+
+
+def test_pipeline_reads_a_file_backend_per_condition(tmp_path, toy_path, toy_instances):
+    # transpose draws nothing, so both seeds share each perturbed instance;
+    # the file backend must still score each seed from its own file.
+    import json
+
+    preds_dir = tmp_path / "preds"
+    preds_dir.mkdir()
+    files = {"original.jsonl": True, "transpose.seed0.jsonl": True, "transpose.seed1.jsonl": False}
+    for name, right in files.items():
+        with open(preds_dir / name, "w", encoding="utf-8") as fh:
+            for inst in toy_instances:
+                answer = inst.answers[0] if right else "no such answer"
+                fh.write(json.dumps({"instance_id": inst.id, "prediction": answer}) + "\n")
+    report = run_pipeline(
+        RunConfig(
+            dataset=toy_path, kinds=("TRANSPOSE",), seeds=(0, 1), backend=f"file:{preds_dir}"
+        )
+    )
+    seed0, seed1 = report["conditions"]
+    assert seed0["n"] == seed1["n"] > 0
+    assert (seed0["em"], seed1["em"]) == (1.0, 0.0)
+    assert seed1["vp"] == 1.0
+
+
 def test_pipeline_scores_huge_numeral_predictions_as_wrong(tmp_path, toy_path, toy_instances):
     # Numerals beyond the default 28-digit decimal context, and ones whose
     # plain rendering would be a gigabyte long, must be scored, not crash.

@@ -119,10 +119,3 @@ def test_derive_rng_matches_manual_seeding():
     a = derive_rng(3, "id-9", "TRANSPOSE")
     b = Rng(derive_seed(3, "id-9", "TRANSPOSE"))
     assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
-
-
-def test_drawn_reports_any_draw():
-    rng = Rng(7)
-    assert not rng.drawn
-    rng.randrange(1)  # a draw, even though the range leaves no choice
-    assert rng.drawn
