@@ -10,9 +10,12 @@ actually reads the table, positionally biased readers, and a constant-answer
 model.  A harness that cannot distinguish these has no business judging
 real systems.
 
-``answers_by_input`` says whether a backend's answer depends on the input
-alone, so a run may ask it about each perturbed instance once per kind;
-a prediction file answers per condition.
+``reuses`` says which outcomes a run may take again for an instance it
+has already asked about in the same kind, the original instance included:
+nothing from a prediction file, which answers per condition; answers from
+the subprocess and HTTP transports, whose failures may be transient; and
+answers and failures from a reference model, which is in-process and
+deterministic.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _faithful(instance: QAInstance) -> str:
 
 
 class ReferenceBackend:
-    answers_by_input = True
+    reuses = frozenset({"answers", "failures"})
 
     def __init__(
         self,
@@ -122,7 +125,7 @@ class FileBackend:
     original.jsonl or <kind>.seed<k>.jsonl, lines {"instance_id", "prediction"}.
     A missing or null prediction is recorded as that instance's failure."""
 
-    answers_by_input = False
+    reuses = frozenset()
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -174,7 +177,7 @@ class _Transport:
     first use, so building any other backend never loads them.
     """
 
-    answers_by_input = True
+    reuses = frozenset({"answers"})
 
     def __init__(self, timeout: float, retries: int, workers: int):
         self.timeout = timeout

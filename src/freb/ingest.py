@@ -162,12 +162,17 @@ def instance_from_record(record: dict) -> QAInstance:
         raise DatasetError(f"malformed record: {exc}") from exc
 
 
-def read_lines(path, what: str, error: type[FrebError] = DatasetError):
+def read_lines(path, what: str, error: type[FrebError] = DatasetError, digest=None):
     """(file line number, line) for each line of the UTF-8 file ``path``; every
-    input file is read here. An unreadable file raises ``error`` naming ``what``."""
+    input file is read here. An unreadable file raises ``error`` naming ``what``.
+    Lines keep their own line endings; ``digest``, a hashlib object, is
+    updated with the bytes of each line read."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            yield from enumerate(handle, 1)
+        with open(path, encoding="utf-8", newline="") as handle:
+            for numbered in enumerate(handle, 1):
+                if digest is not None:
+                    digest.update(numbered[1].encode("utf-8"))
+                yield numbered
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -184,9 +189,10 @@ def read_json(path, what: str):
         raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def iter_records(path, what: str = "dataset file"):
-    """(file line number, JSON object) for each non-blank line of a JSONL file."""
-    for line_no, line in read_lines(path, what):
+def iter_records(path, what: str = "dataset file", digest=None):
+    """(file line number, JSON object) for each non-blank line of a JSONL
+    file; ``digest`` is as for ``read_lines``."""
+    for line_no, line in read_lines(path, what, digest=digest):
         line = line.strip()
         if not line:
             continue
@@ -237,11 +243,12 @@ def write_records(records, path) -> None:
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def load_dataset(path) -> list[QAInstance]:
-    """Load and validate a dataset file; order preserved, ids unique."""
+def load_dataset(path, digest=None) -> list[QAInstance]:
+    """Load and validate a dataset file; order preserved, ids unique.
+    ``digest``, a hashlib object, is updated with every byte of the file."""
     instances = []
     seen_ids = set()
-    for line_no, record in iter_records(path):
+    for line_no, record in iter_records(path, digest=digest):
         try:
             instance = instance_from_record(record)
         except DatasetError as exc:

@@ -14,7 +14,8 @@ perturbed instance from its record.  ``iter_conditions`` is the kinds x seeds
 x instances loop that ``freb perturb`` and ``freb evaluate`` share; it runs
 each (instance, kind)'s prepare once for all seeds, and realizes each
 distinct params of an (instance, kind) once: a seed whose plan returns
-params an earlier seed returned gets that seed's perturbed instance object.
+params an earlier seed returned gets that seed's perturbed instance object,
+and a perturbation that changes nothing gives the original object.
 """
 
 from __future__ import annotations
@@ -242,8 +243,10 @@ def iter_conditions(
     in that order, but runs each (instance, kind)'s prepare step once, and
     realizes each distinct params of an (instance, kind) once: the seeds
     whose plans return equal params share one perturbed instance object.
-    Every plan still runs, so every draw and record is as it was.  Nothing
-    is kept past the kind that made it.
+    A perturbed instance equal to its original (a no-op) is given as the
+    original object itself, so a caller can tell it by identity.  Every plan
+    still runs, so every draw and record is as it was.  Nothing is kept past
+    the kind that made it.
     """
     for kind in kinds:
         spec = _spec(kind)
@@ -276,6 +279,9 @@ def iter_conditions(
                 key = (i, repr(params))
                 out = realized.get(key)
                 if out is None:
-                    out = realized[key] = spec.realize(inst, params)
+                    out = spec.realize(inst, params)
+                    # A no-op is the original itself.  Realized tables share
+                    # the original's cells, so this compares mostly by identity.
+                    realized[key] = out = inst if out == inst else out
                 perturbed.append((out, PerturbationRecord(kind, rng.seed, params, inst.id)))
             yield Condition(kind, seed, perturbed, skipped)

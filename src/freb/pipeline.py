@@ -170,7 +170,8 @@ def parse_config_file(path: str | Path) -> RunConfig:
 
 def run_pipeline(config: RunConfig) -> dict:
     """Evaluate the configured backend under every (kind, seed) condition."""
-    instances = load_dataset(config.dataset)
+    digest = hashlib.sha256()
+    instances = load_dataset(config.dataset, digest)
     lexicon = (
         ComparativeLexicon.from_file(config.lexicon) if config.lexicon else ComparativeLexicon()
     )
@@ -189,10 +190,10 @@ def run_pipeline(config: RunConfig) -> dict:
     if not kept:
         raise DatasetError("no instances left to evaluate after length filtering")
 
-    original_entries, original_failures = backend.predictions_for((ORIGINAL, 0), kept)
-    original_correct = {
-        inst.id: is_correct(original_entries.get(inst.id), inst.answers) for inst in kept
-    }
+    # The original outcomes the backend lets a run reuse: a no-op
+    # perturbation is the original instance, so each kind starts with these.
+    originals: dict = {}
+    original_correct, original_failures = _outcomes(backend, (ORIGINAL, 0), kept, originals)
     # Perturbations never change the question, so its cue is computed once.
     has_cue = {inst.id: lexicon.question_has_cue(inst.question) for inst in kept}
 
@@ -200,9 +201,9 @@ def run_pipeline(config: RunConfig) -> dict:
     for _, same_kind in groupby(
         iter_conditions(kept, config.kinds, config.seeds), key=lambda c: c.kind
     ):
-        answered: dict = {}
+        known = dict(originals)
         conditions += [
-            _score_condition(backend, condition, original_correct, has_cue, answered)
+            _score_condition(backend, condition, original_correct, has_cue, known)
             for condition in same_kind
         ]
 
@@ -210,7 +211,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "model": backend.model_id,
         "config": {
             "dataset": str(config.dataset),
-            "dataset_sha256": hashlib.sha256(config.dataset.read_bytes()).hexdigest(),
+            "dataset_sha256": digest.hexdigest(),
             "kinds": [k.lower() for k in config.kinds],
             "seeds": list(config.seeds),
             "backend": config.backend,
@@ -223,7 +224,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "original": {
             "em": sum(original_correct.values()) / len(kept),
             "n": len(kept),
-            "failures": dict(sorted(original_failures.items())),
+            "failures": original_failures,
         },
         "conditions": conditions,
         "kind_summaries": [_summarize_kind(kind, conditions) for kind in config.kinds],
@@ -248,10 +249,36 @@ _SUMMARY_SCORES = tuple(
 )
 
 
-def _score_condition(backend, condition: Condition, original_correct, has_cue, answered) -> dict:
-    """Score one condition.  ``answered`` maps id() of each perturbed
-    instance answered earlier in this kind to (the instance, whether the
-    answer was correct); holding the instance keeps its id from reuse."""
+def _outcomes(backend, condition: tuple[str, int], instances, known: dict) -> tuple[dict, dict]:
+    """Whether the backend answers each instance correctly, by id, and the
+    failure text of each that it could not answer, sorted by id.
+
+    ``known`` maps id() of each instance whose outcome this run may reuse to
+    (the instance, whether it was answered correctly, its failure text or
+    None); holding the instance keeps its id from reuse.  Only the other
+    instances are asked, and their outcomes join ``known`` as far as
+    ``backend.reuses`` allows.
+    """
+    entries, failures = backend.predictions_for(
+        condition, [inst for inst in instances if id(inst) not in known]
+    )
+    correct = {}
+    failed = {}
+    for inst in instances:
+        outcome = known.get(id(inst))
+        if outcome is None:
+            failure = failures.get(inst.id)
+            outcome = (inst, is_correct(entries.get(inst.id), inst.answers), failure)
+            if ("answers" if failure is None else "failures") in backend.reuses:
+                known[id(inst)] = outcome
+        correct[inst.id] = outcome[1]
+        if outcome[2] is not None:
+            failed[inst.id] = outcome[2]
+    return correct, dict(sorted(failed.items()))
+
+
+def _score_condition(backend, condition: Condition, original_correct, has_cue, known) -> dict:
+    """Score one condition; ``known`` is the kind's memo of ``_outcomes``."""
     perturbed = [inst for inst, _ in condition.perturbed]
     entry: dict = {
         "kind": condition.kind.lower(),
@@ -264,17 +291,9 @@ def _score_condition(backend, condition: Condition, original_correct, has_cue, a
         entry.update(dict.fromkeys(_CONDITION_SCORES))
         return entry
 
-    asked = [inst for inst in perturbed if id(inst) not in answered]
-    entries, failures = backend.predictions_for((condition.kind, condition.seed), asked)
-    after_correct = {}
-    for inst in perturbed:
-        known = answered.get(id(inst))
-        if known is None:
-            known = (inst, is_correct(entries.get(inst.id), inst.answers))
-            # A failure is not remembered: the next seed asks again.
-            if backend.answers_by_input and inst.id not in failures:
-                answered[id(inst)] = known
-        after_correct[inst.id] = known[1]
+    after_correct, failures = _outcomes(
+        backend, (condition.kind, condition.seed), perturbed, known
+    )
     before_correct = {inst.id: original_correct[inst.id] for inst in perturbed}
     compare_ids = {inst.id for inst in perturbed if has_cue[inst.id]}
 
@@ -283,7 +302,7 @@ def _score_condition(backend, condition: Condition, original_correct, has_cue, a
     gap = gap_from_correctness(before_correct, after_correct, compare_ids)
     entry.update(
         _flips(vp_from_correctness(before_correct, after_correct)),
-        failures=dict(sorted(failures.items())),
+        failures=failures,
         em=em_perturbed,
         em_original_paired=em_before,
         emd=emd(em_perturbed, em_before),

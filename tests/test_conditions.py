@@ -146,6 +146,39 @@ def test_seed_independent_work_runs_once(monkeypatch, toy_instances, sorted_inst
         assert sum(len(shared[key]) for key in keys) < sum(perturbed[key] for key in keys), kind
 
 
+# Perturbed instances equal to their original on the toy set over SEEDS.
+TOY_NO_OPS = {
+    SHIFT_RELEVANT_ROWS: 285,
+    TARGET_COL_BACK: 122,
+    TARGET_ROW_BOTTOM: 87,
+    TARGET_ROW_TOP: 66,
+    TARGET_COL_FRONT: 65,
+    TARGET_ROW_MIDDLE: 52,
+    SHUFFLE_COLS: 15,
+    SHUFFLE_ROWS: 5,
+}
+
+
+def test_a_no_op_is_the_original_instance(toy_instances):
+    by_id = {inst.id: inst for inst in toy_instances}
+    no_ops = Counter()
+    expected = _one_at_a_time(toy_instances, ALL_KINDS, SEEDS)
+    for condition, (_, _, want, _) in zip(
+        iter_conditions(toy_instances, ALL_KINDS, SEEDS), expected, strict=True
+    ):
+        assert len(condition.perturbed) == len(want)
+        for (out, record), (want_out, want_record) in zip(condition.perturbed, want):
+            assert (out, record) == (want_out, want_record)
+            original = by_id[record.source_id]
+            # Equal to the original exactly when it is the original object.
+            assert (out == original) is (out is original), record
+            no_ops[condition.kind] += out is original
+    assert sum(no_ops.values()) == 697
+    assert {kind: no_ops[kind] for kind in ALL_KINDS} == {
+        kind: TOY_NO_OPS.get(kind, 0) for kind in ALL_KINDS
+    }
+
+
 def test_a_skip_the_plan_raises_is_listed_for_every_seed(monkeypatch):
     # One row: prepare projects the table and keys its answer, but without a
     # second row no edit can move or keep an ARGMAX answer, so the plan raises.

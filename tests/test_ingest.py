@@ -1,6 +1,7 @@
 """JSONL round-trips, validation failures and the positional-question filter."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +87,20 @@ def test_dataset_file_round_trip(tmp_path):
     instances = [_full_instance()]
     save_dataset(instances, path)
     assert load_dataset(path) == instances
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_load_dataset_digests_the_bytes_it_reads(tmp_path, ending):
+    import hashlib
+
+    path = tmp_path / "data.jsonl"
+    instances = [_full_instance(), replace(_full_instance(), id="rt-2", question="Qui a gagné ?")]
+    lines = [json.dumps(instance_to_record(i), ensure_ascii=False) for i in instances]
+    data = ending.join(["", *lines, ""]).encode("utf-8")
+    path.write_bytes(data)
+    digest = hashlib.sha256()
+    assert load_dataset(path, digest) == instances
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_read_records_cites_bad_line(tmp_path):

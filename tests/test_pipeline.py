@@ -454,7 +454,9 @@ def test_pipeline_asks_a_reference_model_each_perturbed_instance_once_per_kind(
     from collections import Counter
 
     from freb.backends import ReferenceBackend
+    from freb.ingest import load_dataset
     from freb.metrics import ORIGINAL
+    from freb.perturb import iter_conditions
 
     seen = []  # (kind, instance, failed); holding the instance keeps its id
     plain = ReferenceBackend.predictions_for
@@ -472,17 +474,85 @@ def test_pipeline_asks_a_reference_model_each_perturbed_instance_once_per_kind(
     asks = Counter((kind, id(inst)) for kind, inst, _ in seen if kind != ORIGINAL)
     failed = {(kind, id(inst)) for kind, inst, was in seen if was}
     # The faithful oracle cannot answer without a table, so every
-    # remove_table instance fails, and is asked again at every seed.
+    # remove_table instance fails; its failure is final, so it is asked once
+    # for all the seeds, and listed under every seed.
     assert {kind for kind, _ in failed} == {"REMOVE_TABLE"}
-    assert all(asks[key] == len(seeds) for key in failed)
-    # An answered instance is asked once for all the seeds that share it.
-    assert all(n == 1 for key, n in asks.items() if key not in failed)
+    removals = [c for c in report["conditions"] if c["kind"] == "remove_table"]
+    assert all(len(c["failures"]) == c["n"] > 0 for c in removals)
+    # Every instance, answered or failed, is asked once for all the seeds
+    # that share it.
+    assert all(n == 1 for n in asks.values())
     perturbed = sum(c["n"] for c in report["conditions"])
     assert sum(asks.values()) < perturbed
     for kind in ("SHUFFLE_ROWS", "TARGET_ROW_TOP", "SHORTENED"):
         assert sum(1 for k, _ in asks if k == kind) < sum(
             c["n"] for c in report["conditions"] if c["kind"] == kind.lower()
         ), kind
+    # A no-op perturbation is the original instance, whose outcome the
+    # original call gave: it is never asked again.
+    originals = {id(inst) for kind, inst, _ in seen if kind == ORIGINAL}
+    assert not any(key in originals for _, key in asks)
+    by_id = {inst.id: inst for inst in load_dataset(toy_path)}
+    no_ops = sum(
+        out is by_id[record.source_id]
+        for condition in iter_conditions(list(by_id.values()), kinds, seeds)
+        for out, record in condition.perturbed
+    )
+    assert no_ops > 0
+
+
+def test_pipeline_asks_a_transport_again_after_a_failure(tmp_path, toy_instances):
+    # A subprocess model that fails the first time it sees an input and
+    # answers from then on, counting its calls in one file per input.  A
+    # transport's failure may be transient, so it is not reused: the next
+    # seed asks again, and the failure is listed under its own seed only.
+    import shlex
+
+    from freb.ingest import save_dataset
+
+    dataset = tmp_path / "eq.jsonl"
+    save_dataset([i for i in toy_instances if i.question_type == "EQ"][:3], dataset)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    count = f'{shlex.quote(str(calls))}/$(printf %s "$input" | cksum | tr " " _)'
+    model = (
+        f'input=$(cat); echo call >> {count}; '
+        f'[ $(wc -l < {count}) -gt 1 ] && printf "%s\\n" "$input" | head -1'
+    )
+    report = run_pipeline(
+        RunConfig(
+            dataset=dataset, kinds=("TRANSPOSE",), seeds=(0, 1), backend=f"subprocess:{model}"
+        )
+    )
+    seed0, seed1 = report["conditions"]
+    assert sorted(report["original"]["failures"]) == sorted(seed0["failures"])
+    assert len(seed0["failures"]) == seed0["n"] == 3
+    assert all(text.startswith("exit code 1") for text in seed0["failures"].values())
+    assert (seed1["n"], seed1["failures"]) == (3, {})
+    # Each original was asked once, each transposed table once per seed.
+    counts = sorted(len(f.read_text().splitlines()) for f in calls.iterdir())
+    assert counts == [1, 1, 1, 2, 2, 2]
+
+
+@pytest.mark.parametrize("change", ["replaced", "removed"])
+def test_pipeline_hashes_the_dataset_bytes_it_loaded(tmp_path, toy_path, monkeypatch, change):
+    from freb.backends import ReferenceBackend
+
+    dataset = tmp_path / "toy.jsonl"
+    loaded = toy_path.read_bytes()
+    dataset.write_bytes(loaded)
+    plain = ReferenceBackend.predictions_for
+
+    def changing_the_file(self, condition, instances):
+        if change == "removed":
+            dataset.unlink(missing_ok=True)
+        else:
+            dataset.write_bytes(b"\n")
+        return plain(self, condition, instances)
+
+    monkeypatch.setattr(ReferenceBackend, "predictions_for", changing_the_file)
+    report = run_pipeline(RunConfig(dataset=dataset, kinds=("TRANSPOSE",), seeds=(0,)))
+    assert report["config"]["dataset_sha256"] == hashlib.sha256(loaded).hexdigest()
 
 
 def test_pipeline_reads_a_file_backend_per_condition(tmp_path, toy_path, toy_instances):
