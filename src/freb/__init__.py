@@ -25,7 +25,7 @@ from .errors import (
     FrebError,
     PerturbSkip,
 )
-from .metrics import ORIGINAL, PredictionSet, aggregate_seeds, em, emd, vp
+from .metrics import ORIGINAL, aggregate_seeds, em, emd
 from .perturb import apply_perturbation, evaluate_aggregation
 from .pipeline import RunConfig, render_report_text, run_pipeline
 from .rng import Rng, derive_rng, derive_seed
@@ -43,7 +43,6 @@ __all__ = [
     "FrebError",
     "ORIGINAL",
     "PerturbSkip",
-    "PredictionSet",
     "QAInstance",
     "Rng",
     "RunConfig",
@@ -65,6 +64,5 @@ __all__ = [
     "serialize",
     "token_count",
     "validate",
-    "vp",
     "__version__",
 ]

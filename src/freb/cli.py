@@ -200,7 +200,7 @@ def _cmd_report(args) -> int:
     report = read_json(args.input, "report file")
     try:
         text = render_report_text(report)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{args.input}: not a report produced by 'freb evaluate' ({exc})") from exc
     if args.out:
         write_text(args.out, text + "\n")

@@ -19,15 +19,7 @@ from .backends import parse_backend
 from .classify import ComparativeLexicon
 from .errors import ConfigError, DatasetError
 from .ingest import load_dataset, read_lines
-from .metrics import (
-    ORIGINAL,
-    VpResult,
-    aggregate_seeds,
-    emd,
-    gap_from_correctness,
-    is_correct,
-    vp_from_correctness,
-)
+from .metrics import ORIGINAL, aggregate_seeds, em, emd, is_correct, vp_from_correctness
 from .perturb import (
     ALL_KINDS,
     FAMILY_KINDS,
@@ -222,7 +214,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "n_scored": len(kept),
         "dropped_by_length": [inst.id for inst in dropped],
         "original": {
-            "em": sum(original_correct.values()) / len(kept),
+            "em": em(list(original_correct.values())),
             "n": len(kept),
             "failures": original_failures,
         },
@@ -294,35 +286,28 @@ def _score_condition(backend, condition: Condition, original_correct, has_cue, k
     after_correct, failures = _outcomes(
         backend, (condition.kind, condition.seed), perturbed, known
     )
-    before_correct = {inst.id: original_correct[inst.id] for inst in perturbed}
-    compare_ids = {inst.id for inst in perturbed if has_cue[inst.id]}
-
-    em_perturbed = sum(after_correct.values()) / len(perturbed)
-    em_before = sum(before_correct.values()) / len(perturbed)
-    gap = gap_from_correctness(before_correct, after_correct, compare_ids)
+    # One (correct before, correct after, has cue) row per perturbed instance.
+    rows = [(original_correct[i.id], after_correct[i.id], has_cue[i.id]) for i in perturbed]
+    em_perturbed = em([after for _, after, _ in rows])
+    em_before = em([before for before, _, _ in rows])
+    compare = vp_from_correctness((before, after) for before, after, cue in rows if cue)
+    noncompare = vp_from_correctness((before, after) for before, after, cue in rows if not cue)
     entry.update(
-        _flips(vp_from_correctness(before_correct, after_correct)),
+        vp_from_correctness((before, after) for before, after, _ in rows),
         failures=failures,
         em=em_perturbed,
         em_original_paired=em_before,
         emd=emd(em_perturbed, em_before),
         gap={
-            "compare": None if gap.compare is None else _flips(gap.compare),
-            "noncompare": None if gap.noncompare is None else _flips(gap.noncompare),
-            "gap": gap.gap,
+            "compare": compare,
+            "noncompare": noncompare,
+            "gap": (
+                None if compare is None or noncompare is None
+                else compare["vp"] - noncompare["vp"]
+            ),
         },
     )
     return entry
-
-
-def _flips(result: VpResult) -> dict:
-    return {
-        "vp": result.vp,
-        "vp_pct": 100.0 * result.vp,
-        "c2w": result.c2w,
-        "w2c": result.w2c,
-        "n": result.n,
-    }
 
 
 def _summarize_kind(kind: str, conditions: list[dict]) -> dict:

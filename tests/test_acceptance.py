@@ -21,7 +21,7 @@ from scipy import stats
 import freb
 from freb.classify import ComparativeLexicon, classify_combined, classify_rule_based
 from freb.core import EQ, RQ, QAInstance, Table, normalize_answer, parse_number
-from freb.metrics import ORIGINAL, PredictionSet, em, emd, vp
+from freb.metrics import em, emd, is_correct, vp_from_correctness
 from freb.perturb import (
     KINDS,
     STRUCTURE_KINDS,
@@ -156,49 +156,42 @@ def _correct_variant(answer: str, rng: Rng) -> str:
 def test_p4_metrics_match_brute_force():
     rng = Rng(424242)
     pool = ["alpha", "Beta", "15", "2.5", "Oslo", "two words"]
-    table = Table.from_values(["H"], [["-"]])
 
     for trial in range(1000):
         n = rng.randint(1, 40)
-        gold, truth_a, truth_b = [], {}, {}
-        entries_a, entries_b = {}, {}
+        truth_a, truth_b, correct_a, correct_b = [], [], [], []
         for i in range(n):
-            iid = f"g{i}"
             answers = tuple({rng.choice(pool), rng.choice(pool)})
-            gold.append(
-                QAInstance(id=iid, question="q?", answers=answers, table=table)
-            )
-            for truth, entries in ((truth_a, entries_a), (truth_b, entries_b)):
+            for truth, correct in ((truth_a, correct_a), (truth_b, correct_b)):
                 roll = rng.random()
                 if roll < 0.45:  # correct by construction
-                    truth[iid] = True
-                    entries[iid] = _correct_variant(rng.choice(answers), rng)
+                    truth.append(True)
+                    prediction = _correct_variant(rng.choice(answers), rng)
                 elif roll < 0.85:  # wrong by construction
-                    truth[iid] = False
-                    entries[iid] = f"wrong token {trial}-{i}"
+                    truth.append(False)
+                    prediction = f"wrong token {trial}-{i}"
                 else:  # missing prediction counts as wrong
-                    truth[iid] = False
-                    entries[iid] = None
+                    truth.append(False)
+                    prediction = None
+                correct.append(is_correct(prediction, answers))
 
-        preds_a = PredictionSet("m", (ORIGINAL, 0), entries_a)
-        preds_b = PredictionSet("m", ("K", 1), entries_b)
-
-        hits_a = sum(truth_a.values())
-        hits_b = sum(truth_b.values())
-        em_a = em(preds_a, gold)
-        em_b = em(preds_b, gold)
+        hits_a = sum(truth_a)
+        hits_b = sum(truth_b)
+        em_a = em(correct_a)
+        em_b = em(correct_b)
         assert em_a == hits_a / n
         assert em_b == hits_b / n
         assert abs(em_a - hits_a / n) <= 1e-12  # tolerance bound, trivially met
         assert emd(em_b, em_a) == em_b - em_a
 
-        flips = vp(preds_a, preds_b, gold)
-        expect_c2w = sum(1 for i in truth_a if truth_a[i] and not truth_b[i])
-        expect_w2c = sum(1 for i in truth_a if not truth_a[i] and truth_b[i])
-        assert (flips.c2w, flips.w2c, flips.n) == (expect_c2w, expect_w2c, n)
-        assert abs(flips.vp - (expect_c2w + expect_w2c) / n) <= 1e-12
+        flips = vp_from_correctness(zip(correct_a, correct_b))
+        expect_c2w = sum(1 for a, b in zip(truth_a, truth_b) if a and not b)
+        expect_w2c = sum(1 for a, b in zip(truth_a, truth_b) if not a and b)
+        assert (flips["c2w"], flips["w2c"], flips["n"]) == (expect_c2w, expect_w2c, n)
+        assert abs(flips["vp"] - (expect_c2w + expect_w2c) / n) <= 1e-12
+        assert flips["vp_pct"] == 100.0 * flips["vp"]
 
-        assert vp(preds_a, preds_a, gold).vp == 0.0
+        assert vp_from_correctness(zip(correct_a, correct_a))["vp"] == 0.0
 
 
 # --- P5: every value edit is certified by re-running the aggregation oracle ----------

@@ -363,7 +363,7 @@ def test_exit_code_config_file_timeout_too_large(tmp_path, toy_path, capsys):
     assert "timeout must be a positive number of seconds up to 1000000" in capsys.readouterr().err
 
 
-def test_exit_code_data_errors(tmp_path, capsys):
+def test_exit_code_data_errors(tmp_path, toy_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("this is not json\n", encoding="utf-8")
     assert main(["evaluate", "--dataset", str(bad), "--kinds", "transpose"]) == 2
@@ -374,6 +374,15 @@ def test_exit_code_data_errors(tmp_path, capsys):
     assert main(["report", "--in", str(not_report)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
+
+    # A number given as a string is a data error too, not a traceback.
+    report = run_pipeline(RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), seeds=(0,)))
+    report["kind_summaries"][0]["em_mean"] = "0.5"
+    string_number = tmp_path / "string_number.json"
+    string_number.write_text(report_to_json(report), encoding="utf-8")
+    assert main(["report", "--in", str(string_number)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
 
 
 # Each input file of the CLI: its argv, given the bad file's path, the toy

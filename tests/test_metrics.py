@@ -6,42 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freb.classify import ComparativeLexicon
-from freb.core import QAInstance, Table
-from freb.metrics import (
-    ORIGINAL,
-    GapResult,
-    PredictionSet,
-    VpResult,
-    aggregate_seeds,
-    em,
-    emd,
-    gap_from_correctness,
-    is_correct,
-    vp,
-    vp_from_correctness,
-)
+from freb.metrics import aggregate_seeds, em, emd, is_correct, vp_from_correctness
 
-_TABLE = Table.from_values(["H"], [["x"]])
+GOLD4 = (("Paris",), ("15",), ("Reds", "The Reds"), ("2.5",))
 
 
-def _gold(*pairs):
-    return [
-        QAInstance(id=iid, question=q, answers=answers, table=_TABLE)
-        for iid, q, answers in pairs
-    ]
+def _correct(*predictions):
+    """Correctness of each prediction against GOLD4, in order."""
+    return [is_correct(p, golds) for p, golds in zip(predictions, GOLD4)]
 
 
-def _preds(entries, condition=(ORIGINAL, 0)):
-    return PredictionSet(model_id="m", condition=condition, entries=entries)
-
-
-GOLD4 = _gold(
-    ("a", "q1?", ("Paris",)),
-    ("b", "q2?", ("15",)),
-    ("c", "q3?", ("Reds", "The Reds")),
-    ("d", "q4?", ("2.5",)),
-)
+def _pairs(before, after):
+    return list(zip(_correct(*before), _correct(*after)))
 
 
 def test_is_correct_normalizes():
@@ -52,30 +28,20 @@ def test_is_correct_normalizes():
 
 
 def test_em_counts_matches():
-    preds = _preds({"a": "paris", "b": "15.0", "c": "nope", "d": "2.50"})
-    assert em(preds, GOLD4) == 0.75
+    assert em(_correct("paris", "15.0", "nope", "2.50")) == 0.75
 
 
 def test_em_any_gold_answer_counts():
-    preds = _preds({"a": "x", "b": "x", "c": "the reds", "d": "x"})
-    assert em(preds, GOLD4) == 0.25
+    assert em(_correct("x", "x", "the reds", "x")) == 0.25
 
 
 def test_em_missing_prediction_is_wrong():
-    preds = _preds({"a": "Paris"})
-    assert em(preds, GOLD4) == 0.25
-    preds = _preds({"a": "Paris", "b": None, "c": None, "d": None})
-    assert em(preds, GOLD4) == 0.25
+    assert em(_correct("Paris", None, None, None)) == 0.25
 
 
 def test_em_empty_gold_errors():
     with pytest.raises(ValueError, match="empty dataset"):
-        em(_preds({}), [])
-
-
-def test_em_unknown_id_errors():
-    with pytest.raises(ValueError, match="unknown instance ids: \\['z'\\]"):
-        em(_preds({"z": "x"}), GOLD4)
+        em([])
 
 
 def test_emd_signed():
@@ -97,69 +63,45 @@ def test_emd_antisymmetric(a, b):
 
 
 def test_vp_counts_both_flip_directions():
-    before = _preds({"a": "Paris", "b": "15", "c": "zzz", "d": "zzz"})
-    after = _preds({"a": "Paris", "b": "zzz", "c": "Reds", "d": "zzz"}, ("K", 1))
-    result = vp(before, after, GOLD4)
-    assert result == VpResult(vp=0.5, c2w=1, w2c=1, n=4)
+    pairs = _pairs(("Paris", "15", "zzz", "zzz"), ("Paris", "zzz", "Reds", "zzz"))
+    assert vp_from_correctness(pairs) == {"vp": 0.5, "vp_pct": 50.0, "c2w": 1, "w2c": 1, "n": 4}
 
 
 def test_vp_identical_sets_is_zero():
-    preds = _preds({"a": "Paris", "b": "zzz", "c": "Reds", "d": "zzz"})
-    result = vp(preds, preds, GOLD4)
-    assert result.vp == 0.0
-    assert result.c2w == 0 and result.w2c == 0
+    predictions = ("Paris", "zzz", "Reds", "zzz")
+    result = vp_from_correctness(_pairs(predictions, predictions))
+    assert result["vp"] == 0.0
+    assert result["c2w"] == 0 and result["w2c"] == 0
 
 
 def test_vp_all_flipped_is_one():
-    before = _preds({"a": "Paris", "b": "15", "c": "Reds", "d": "2.5"})
-    after = _preds({"a": "x", "b": "x", "c": "x", "d": "x"})
-    assert vp(before, after, GOLD4).vp == 1.0
-
-
-def test_vp_mismatched_ids_error():
-    before = _preds({"a": "x", "b": "x", "c": "x", "d": "x"})
-    after = _preds({"a": "x", "b": "x", "c": "x"})
-    with pytest.raises(ValueError, match="\\['d'\\]"):
-        vp(before, after, GOLD4)
+    pairs = _pairs(("Paris", "15", "Reds", "2.5"), ("x", "x", "x", "x"))
+    assert vp_from_correctness(pairs)["vp"] == 1.0
 
 
 def test_vp_from_correctness_diff_golds():
-    # Before/after correctness may come from different gold answers (the
-    # answer-changing value edits); only the flip structure matters here.
-    before = {"a": True, "b": False}
-    after = {"a": True, "b": True}
-    result = vp_from_correctness(before, after)
-    assert result == VpResult(vp=0.5, c2w=0, w2c=1, n=2)
+    # An answer-changing value edit scores each side against its own gold:
+    # the second answer is "10" before the edit and "12" after it.
+    before = [is_correct("10", ("10",)), is_correct("7", ("10",))]
+    after = [is_correct("10", ("10",)), is_correct("12", ("12",))]
+    result = vp_from_correctness(zip(before, after))
+    assert result == {"vp": 0.5, "vp_pct": 50.0, "c2w": 0, "w2c": 1, "n": 2}
 
 
-def test_vp_from_correctness_empty_errors():
-    with pytest.raises(ValueError, match="zero instances"):
-        vp_from_correctness({}, {})
+def test_vp_from_correctness_empty_is_none():
+    assert vp_from_correctness([]) is None
 
 
-def test_vp_from_correctness_key_mismatch():
-    with pytest.raises(ValueError, match="\\['b'\\]"):
-        vp_from_correctness({"a": True, "b": True}, {"a": True})
-
-
-@given(
-    st.dictionaries(
-        st.sampled_from(["a", "b", "c", "d"]),
-        st.booleans(),
-        min_size=1,
-        max_size=4,
-    ),
-    st.data(),
-)
-def test_vp_from_correctness_bounds_and_symmetry(before, data):
-    after = {k: data.draw(st.booleans()) for k in before}
-    fwd = vp_from_correctness(before, after)
-    rev = vp_from_correctness(after, before)
-    assert 0.0 <= fwd.vp <= 1.0
-    assert fwd.c2w + fwd.w2c == round(fwd.vp * fwd.n)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=40))
+def test_vp_from_correctness_bounds_and_symmetry(pairs):
+    fwd = vp_from_correctness(pairs)
+    rev = vp_from_correctness([(after, before) for before, after in pairs])
+    assert 0.0 <= fwd["vp"] <= 1.0
+    assert fwd["c2w"] + fwd["w2c"] == round(fwd["vp"] * fwd["n"])
+    assert fwd["vp_pct"] == 100.0 * fwd["vp"]
     # flips are direction-symmetric in total, mirrored in kind
-    assert (fwd.c2w, fwd.w2c) == (rev.w2c, rev.c2w)
-    assert fwd.vp == rev.vp
+    assert (fwd["c2w"], fwd["w2c"]) == (rev["w2c"], rev["c2w"])
+    assert fwd["vp"] == rev["vp"]
 
 
 def test_aggregate_seeds_mean_and_sample_std():
@@ -173,47 +115,3 @@ def test_aggregate_seeds_mean_and_sample_std():
 def test_aggregate_seeds_empty_errors():
     with pytest.raises(ValueError):
         aggregate_seeds([])
-
-
-def _gap(gold, before, after):
-    """The VP gap as the pipeline computes it: correctness from is_correct,
-    the compare split from the comparative lexicon."""
-    lexicon = ComparativeLexicon()
-    return gap_from_correctness(
-        {i.id: is_correct(before[i.id], i.answers) for i in gold},
-        {i.id: is_correct(after[i.id], i.answers) for i in gold},
-        [i.id for i in gold if lexicon.question_has_cue(i.question)],
-    )
-
-
-def test_vp_gap_splits_on_comparative_cue():
-    gold = _gold(
-        ("a", "Who scored the most points?", ("X",)),  # cue
-        ("b", "Which entry is larger?", ("X",)),  # cue
-        ("c", "What city is listed?", ("X",)),  # no cue
-        ("d", "What is the venue?", ("X",)),  # no cue
-    )
-    before = {"a": "X", "b": "X", "c": "X", "d": "X"}
-    after = {"a": "y", "b": "X", "c": "X", "d": "X"}
-    result = _gap(gold, before, after)
-    assert result.compare.vp == 0.5
-    assert result.compare.n == 2
-    assert result.noncompare.vp == 0.0
-    assert result.gap == 0.5
-
-
-def test_vp_gap_empty_split_has_no_gap():
-    gold = _gold(("a", "Who scored the most points?", ("X",)))
-    preds = {"a": "X"}
-    result = _gap(gold, preds, preds)
-    assert result.noncompare is None
-    assert result.compare.vp == 0.0
-    assert result.gap is None
-
-
-def test_gap_result_property():
-    half = VpResult(vp=0.5, c2w=1, w2c=0, n=2)
-    zero = VpResult(vp=0.0, c2w=0, w2c=0, n=3)
-    assert GapResult(compare=half, noncompare=zero).gap == 0.5
-    assert GapResult(compare=None, noncompare=zero).gap is None
-    assert GapResult(compare=half, noncompare=None).gap is None

@@ -312,7 +312,8 @@ def test_pipeline_empty_condition_has_every_score_key(tmp_path, toy_instances):
 def test_pipeline_gap_matches_metrics(toy_path, toy_instances):
     from freb.backends import LAST_ROW_BIASED, ReferenceBackend
     from freb.classify import ComparativeLexicon
-    from freb.metrics import ORIGINAL, gap_from_correctness, is_correct
+    from freb.core import answer_keys, normalize_answer
+    from freb.metrics import ORIGINAL
     from freb.perturb import apply_perturbation
 
     report = run_pipeline(
@@ -333,17 +334,95 @@ def test_pipeline_gap_matches_metrics(toy_path, toy_instances):
     ids = {i.id for i in perturbed}
     before, _ = backend.predictions_for((ORIGINAL, 0), [i for i in toy_instances if i.id in ids])
     after, _ = backend.predictions_for(("SHIFT_RELEVANT_ROWS", 1), perturbed)
-    # the perturbation keeps answers, so gold is the same on both sides
+
+    # Recount both splits by hand; the perturbation keeps answers, so gold
+    # is the same on both sides.
+    def right(prediction, answers):
+        return prediction is not None and normalize_answer(prediction) in answer_keys(answers)
+
     lexicon = ComparativeLexicon()
-    gap = gap_from_correctness(
-        {i.id: is_correct(before[i.id], i.answers) for i in perturbed},
-        {i.id: is_correct(after[i.id], i.answers) for i in perturbed},
-        [i.id for i in perturbed if lexicon.question_has_cue(i.question)],
-    )
+    counts = {True: [0, 0, 0], False: [0, 0, 0]}  # c2w, w2c, n by cue
+    for inst in perturbed:
+        was, now = right(before[inst.id], inst.answers), right(after[inst.id], inst.answers)
+        split = counts[lexicon.question_has_cue(inst.question)]
+        split[0] += was and not now
+        split[1] += now and not was
+        split[2] += 1
+    expect = {}
+    for cue, name in ((True, "compare"), (False, "noncompare")):
+        c2w, w2c, n = counts[cue]
+        expect[name] = {"vp": (c2w + w2c) / n, "vp_pct": 100.0 * (c2w + w2c) / n,
+                        "c2w": c2w, "w2c": w2c, "n": n}
     assert condition["n"] == len(perturbed)
-    assert condition["gap"]["gap"] == gap.gap
-    assert condition["gap"]["compare"]["c2w"] == gap.compare.c2w
-    assert condition["gap"]["noncompare"]["n"] == gap.noncompare.n
+    assert condition["gap"]["compare"] == expect["compare"]
+    assert condition["gap"]["noncompare"] == expect["noncompare"]
+    assert condition["gap"]["gap"] == expect["compare"]["vp"] - expect["noncompare"]["vp"]
+    # last_row_biased flips some cue questions but not every question.
+    assert 0 < expect["compare"]["c2w"] < expect["compare"]["n"]
+
+
+def _write_predictions(path, entries):
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for iid, answer in entries.items():
+            fh.write(json.dumps({"instance_id": iid, "prediction": answer}) + "\n")
+
+
+def test_pipeline_gap_splits_on_comparative_cue(tmp_path):
+    from freb.core import RQ, QAInstance, Table
+    from freb.ingest import save_dataset
+
+    table = Table.from_values(["H"], [["x"], ["y"]])
+    questions = {
+        "a": "Who scored the most points?",  # cue
+        "b": "Which entry is larger?",  # cue
+        "c": "What city is listed?",  # no cue
+        "d": "What is the venue?",  # no cue
+    }
+    path = tmp_path / "cues.jsonl"
+    save_dataset(
+        [QAInstance(id=i, question=q, answers=("X",), table=table, question_type=RQ)
+         for i, q in questions.items()],
+        path,
+    )
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    _write_predictions(preds / "original.jsonl", dict.fromkeys(questions, "X"))
+    _write_predictions(preds / "remove_table.seed0.jsonl", {"a": "y", "b": "X", "c": "X", "d": "X"})
+
+    report = run_pipeline(
+        RunConfig(dataset=path, kinds=("REMOVE_TABLE",), seeds=(0,), backend=f"file:{preds}")
+    )
+    gap = report["conditions"][0]["gap"]
+    assert gap["compare"] == {"vp": 0.5, "vp_pct": 50.0, "c2w": 1, "w2c": 0, "n": 2}
+    assert gap["noncompare"] == {"vp": 0.0, "vp_pct": 0.0, "c2w": 0, "w2c": 0, "n": 2}
+    assert gap["gap"] == 0.5
+    assert report["kind_summaries"][0]["gap_mean"] == 0.5
+
+
+def test_pipeline_gap_empty_split_is_null(tmp_path, toy_instances):
+    # When every perturbed question carries a comparative cue, the
+    # non-compare split has no instances, so it and the gap are null.
+    from freb.classify import ComparativeLexicon
+    from freb.ingest import save_dataset
+
+    lexicon = ComparativeLexicon()
+    path = tmp_path / "cues.jsonl"
+    save_dataset([i for i in toy_instances if lexicon.question_has_cue(i.question)], path)
+    report = run_pipeline(
+        RunConfig(dataset=path, kinds=("REMOVE_TABLE", "VALUE_AC"), seeds=(0, 1))
+    )
+    assert len(report["conditions"]) == 4
+    for condition in report["conditions"]:
+        assert condition["n"] > 0
+        assert condition["gap"]["compare"]["n"] == condition["n"]
+        assert condition["gap"]["noncompare"] is None
+        assert condition["gap"]["gap"] is None
+    for summary in report["kind_summaries"]:
+        assert summary["vp_mean"] is not None
+        assert (summary["gap_mean"], summary["gap_std"]) == (None, None)
+    assert "comparative cues" not in render_report_text(report)
 
 
 def test_pipeline_reads_each_question_cue_once(toy_path, monkeypatch):
