@@ -137,9 +137,45 @@ def _aggregation_from_json(data: dict) -> AggregationDescriptor:
     )
 
 
+def _excerpt(value) -> str:
+    return json.dumps(value, ensure_ascii=False)[:60]
+
+
+def _array(value, what: str) -> list:
+    """``value`` if it is a JSON array; ValueError otherwise, so that a string
+    is never split into letters."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON array, not {_excerpt(value)}")
+    return value
+
+
+# The JSON values read as text: strings and numbers, never null or true/false.
+_TEXT_TYPES = frozenset({str, int, float})
+
+
+def _text(value, what: str) -> str:
+    """``value`` as text if it is a JSON string or number; ValueError
+    otherwise, so that a null is never read as the text "None"."""
+    if type(value) not in _TEXT_TYPES:
+        raise ValueError(f"{what} must be a string or number, not {_excerpt(value)}")
+    return str(value)
+
+
+def _texts(value, what: str) -> list:
+    """``value`` if it is a JSON array of strings and numbers; ValueError otherwise."""
+    if not _TEXT_TYPES.issuperset(map(type, _array(value, what))):
+        bad = next(item for item in value if type(item) not in _TEXT_TYPES)
+        raise ValueError(f"{what} must hold strings or numbers, not {_excerpt(bad)}")
+    return value
+
+
 def instance_from_record(record: dict) -> QAInstance:
     try:
-        table = Table.from_values(record["table"]["headers"], record["table"]["rows"])
+        rows = _array(record["table"]["rows"], "rows")
+        table = Table.from_values(
+            _texts(record["table"]["headers"], "headers"),
+            [_texts(row, f"row {i}") for i, row in enumerate(rows)],
+        )
         relevant = None
         if record.get("relevant_cells") is not None:
             relevant = tuple(
@@ -149,14 +185,14 @@ def instance_from_record(record: dict) -> QAInstance:
         if record.get("aggregation") is not None:
             aggregation = _aggregation_from_json(record["aggregation"])
         return QAInstance(
-            id=str(record["id"]),
-            question=str(record["question"]),
-            answers=tuple(str(a) for a in record["answers"]),
+            id=_text(record["id"], "id"),
+            question=_text(record["question"], "question"),
+            answers=tuple(str(a) for a in _texts(record["answers"], "answers")),
             table=table,
             question_type=str(record.get("question_type", UNKNOWN)),
             relevant_cells=relevant,
             aggregation=aggregation,
-            source=str(record.get("source", "")),
+            source=_text(record.get("source", ""), "source"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"malformed record: {exc}") from exc

@@ -1,6 +1,7 @@
 """JSONL round-trips, validation failures and the positional-question filter."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -123,6 +124,48 @@ def test_load_dataset_cites_the_file_line_past_blank_lines(tmp_path):
     path.write_text("\n".join([*good, "", "", bad]) + "\n", encoding="utf-8")
     with pytest.raises(DatasetError, match=r"bl\.jsonl:5: malformed record: 'table'"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"id": None}, "id must be a string or number, not null"),
+        ({"question": None}, "question must be a string or number, not null"),
+        ({"source": None}, "source must be a string or number, not null"),
+        ({"answers": "Leslie"}, 'answers must be a JSON array, not "Leslie"'),
+        ({"answers": None}, "answers must be a JSON array, not null"),
+        ({"answers": ["1", None]}, "answers must hold strings or numbers, not null"),
+        ({"table": {"headers": "AB", "rows": [["1", "2"]]}}, 'headers must be a JSON array, not "AB"'),
+        (
+            {"table": {"headers": ["A", None], "rows": [["1", "2"]]}},
+            "headers must hold strings or numbers, not null",
+        ),
+        ({"table": {"headers": ["A", "B"], "rows": "12"}}, 'rows must be a JSON array, not "12"'),
+        ({"table": {"headers": ["A", "B"], "rows": ["12"]}}, 'row 0 must be a JSON array, not "12"'),
+        (
+            {"table": {"headers": ["A", "B"], "rows": [["1", "2"], ["3", None]]}},
+            "row 1 must hold strings or numbers, not null",
+        ),
+    ],
+)
+def test_load_dataset_rejects_text_or_null_for_an_array(tmp_path, change, message):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps(instance_to_record(_full_instance()))
+    record = {"id": "b", "question": "What is A?", "answers": ["1"],
+              "table": {"headers": ["A", "B"], "rows": [["1", "2"]]}, **change}
+    path.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=re.escape(f"bad.jsonl:2: malformed record: {message}")):
+        load_dataset(path)
+
+
+def test_load_dataset_reads_numbers_as_cells_and_answers(tmp_path):
+    path = tmp_path / "numbers.jsonl"
+    record = {"id": 7, "question": "How many?", "answers": [3],
+              "table": {"headers": ["A", "B"], "rows": [[3, 2.5]]}}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (inst,) = load_dataset(path)
+    assert (inst.id, inst.answers) == ("7", ("3",))
+    assert inst.table.grid_values() == [["3", "2.5"]]
 
 
 def test_read_records_rejects_non_object(tmp_path):
