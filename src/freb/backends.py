@@ -1,21 +1,23 @@
 """Model backends: where predictions come from.
 
-Four flavors — pre-computed prediction files, a subprocess invoked per
-distinct input, an HTTP endpoint, and built-in reference models.  The
-subprocess and HTTP backends share one transport, which also carries
-``freb classify --combined``'s secondary classifier, and remember each
-answer for the backend's lifetime (one run), so no input is sent twice.
-The reference models are deliberately simple probes: a faithful oracle that
-actually reads the table, positionally biased readers, and a constant-answer
-model.  A harness that cannot distinguish these has no business judging
-real systems.
+Four flavors, each named by one spec string that ``parse_backend`` reads
+(``freb evaluate --backend`` and ``freb classify --secondary`` alike):
+pre-computed prediction files, a subprocess invoked per distinct input, an
+HTTP endpoint, and built-in reference models.  The subprocess and HTTP
+backends share one transport, which sends each distinct payload once per
+run and remembers its answer, but not its failure.  The reference models
+are deliberately simple probes: a faithful oracle that actually reads the
+table, positionally biased readers, and a constant-answer model.  A harness
+that cannot distinguish these has no business judging real systems.
 
-``reuses`` says which outcomes a run may take again for an instance it
-has already asked about in the same kind, the original instance included:
-nothing from a prediction file, which answers per condition; answers from
-the subprocess and HTTP transports, whose failures may be transient; and
-answers and failures from a reference model, which is in-process and
-deterministic.
+One reply rule: a prediction file's ``prediction`` and ``instance_id`` and
+an HTTP reply's answer or label must each be a JSON string or number,
+read as text by ``ingest._text``.  Any other prediction or reply is that
+instance's failure; any other ``instance_id`` is a data error.
+
+``reuses`` is true only for the reference models, which are in-process and
+deterministic: a run may take an outcome they gave, answer or failure,
+again for the same instance within a kind instead of asking again.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 from .classify import ComparativeLexicon
 from .core import QAInstance
 from .errors import BackendError, ConfigError, DatasetError, FrebError
-from .ingest import iter_records
+from .ingest import _text, iter_records
 from .metrics import ORIGINAL
 from .perturb import evaluate_aggregation, locate_target
 from .serialize import serialize
@@ -84,7 +86,7 @@ def _faithful(instance: QAInstance) -> str:
 
 
 class ReferenceBackend:
-    reuses = frozenset({"answers", "failures"})
+    reuses = True
 
     def __init__(
         self,
@@ -98,11 +100,7 @@ class ReferenceBackend:
         self.name = name
         self.param = param
         self.lexicon = lexicon or ComparativeLexicon()
-
-    @property
-    def model_id(self) -> str:
-        suffix = f":{self.param}" if self.param is not None else ""
-        return f"reference:{self.name.lower()}{suffix}"
+        self.model_id = f"reference:{name.lower()}" + (f":{param}" if param is not None else "")
 
     def predictions_for(
         self, condition: tuple[str, int], instances: Sequence[QAInstance]
@@ -123,46 +121,36 @@ class ReferenceBackend:
 class FileBackend:
     """Reads pre-computed predictions: one JSONL file per condition, named
     original.jsonl or <kind>.seed<k>.jsonl, lines {"instance_id", "prediction"}.
-    A missing or null prediction is recorded as that instance's failure."""
+    A missing prediction, or one that is not text, is that instance's failure."""
 
-    reuses = frozenset()
+    reuses = False
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-
-    @property
-    def model_id(self) -> str:
-        return f"file:{self.root}"
-
-    def _path_for(self, condition: tuple[str, int]) -> Path:
-        kind, seed = condition
-        if kind == ORIGINAL:
-            return self.root / "original.jsonl"
-        return self.root / f"{kind.lower()}.seed{seed}.jsonl"
+        self.model_id = f"file:{self.root}"
 
     def predictions_for(
         self, condition: tuple[str, int], instances: Sequence[QAInstance]
     ) -> tuple[dict[str, str | None], dict[str, str]]:
-        path = self._path_for(condition)
+        kind, seed = condition
+        name = "original.jsonl" if kind == ORIGINAL else f"{kind.lower()}.seed{seed}.jsonl"
+        path = self.root / name
         loaded: dict[str, object] = {}
         for lineno, record in iter_records(path, "predictions file"):
             try:
-                loaded[str(record["instance_id"])] = record["prediction"]
-            except KeyError as exc:
+                loaded[_text(record["instance_id"], "instance_id")] = record["prediction"]
+            except (KeyError, ValueError) as exc:
                 raise DatasetError(f"{path}: line {lineno}: bad prediction record: {exc}")
         entries: dict[str, str | None] = {}
         failures: dict[str, str] = {}
         for inst in instances:
-            prediction = loaded.get(inst.id)
-            if prediction is None:
-                entries[inst.id] = None
-                failures[inst.id] = (
-                    f"null prediction in {path.name}"
-                    if inst.id in loaded
-                    else f"no prediction in {path.name}"
-                )
-            else:
-                entries[inst.id] = str(prediction)
+            entries[inst.id] = None
+            try:
+                entries[inst.id] = _text(loaded[inst.id], f"prediction in {path.name}")
+            except KeyError:
+                failures[inst.id] = f"no prediction in {path.name}"
+            except ValueError as exc:
+                failures[inst.id] = str(exc)
         return entries, failures
 
 
@@ -170,14 +158,16 @@ class _Transport:
     """What the subprocess and HTTP backends share.
 
     Each distinct payload is sent once per run: answers are remembered by
-    the payload's sha256 for the backend's lifetime, failures are not.  A
+    the payload's sha256 for the backend's lifetime, failures are not.  This
+    memo is the one place a transport's answers are kept; a run does not
+    reuse them (``reuses`` is false) but asks again, and the memo answers.  A
     subclass says how one instance becomes a payload (``_payload``) and how
     one payload is sent and its reply read (``_send``, which raises on
     failure).  The stdlib modules a transport sends with are imported on
     first use, so building any other backend never loads them.
     """
 
-    reuses = frozenset({"answers"})
+    reuses = False
 
     def __init__(self, timeout: float, retries: int, workers: int):
         self.timeout = timeout
@@ -248,10 +238,7 @@ class SubprocessBackend(_Transport):
     def __init__(self, command: str, timeout: float = 30.0, retries: int = 0, workers: int = 1):
         super().__init__(timeout, retries, workers)
         self.command = command
-
-    @property
-    def model_id(self) -> str:
-        return f"subprocess:{self.command}"
+        self.model_id = f"subprocess:{command}"
 
     def _payload(self, inst: QAInstance) -> bytes:
         return f"{inst.question}\n{serialize(inst.table)}\n".encode("utf-8")
@@ -289,10 +276,7 @@ class HttpBackend(_Transport):
         super().__init__(timeout, retries, workers)
         self.url = url
         self.reply_key = reply_key
-
-    @property
-    def model_id(self) -> str:
-        return f"http:{self.url}"
+        self.model_id = f"http:{url}"
 
     def _payload(self, inst: QAInstance) -> bytes:
         body = {"question": inst.question, "table_serialized": serialize(inst.table)}
@@ -321,10 +305,7 @@ def _answer_of(reply, key: str) -> str:
         raise ValueError(f"reply is not a JSON object: {json.dumps(reply)[:200]}")
     if key not in reply:
         raise ValueError(f'reply has no "{key}" key')
-    answer = reply[key]
-    if answer is None or isinstance(answer, (list, dict)):
-        raise ValueError(f'"{key}" is not a string or number: {json.dumps(answer)[:200]}')
-    return str(answer)
+    return _text(reply[key], f'"{key}"')
 
 
 def parse_backend(
@@ -333,11 +314,12 @@ def parse_backend(
     timeout: float = 30.0,
     retries: int = 0,
     workers: int = 1,
+    reply_key: str = "answer",
 ):
     """Build a backend from its config string.
 
     Forms: reference:<model>[:<param>], file:<dir>, subprocess:<command>,
-    http:<url>.
+    http:<url>.  ``reply_key`` is the HTTP reply's entry that holds the answer.
     """
     scheme, _, rest = spec.partition(":")
     scheme = scheme.strip().lower()
@@ -353,7 +335,9 @@ def parse_backend(
     if scheme in ("http", "https"):
         # "http://host/path" is the URL itself; "http:host/path" names one.
         url = spec.strip() if rest.startswith("//") else rest
-        return HttpBackend(url, timeout=timeout, retries=retries, workers=workers)
+        return HttpBackend(
+            url, timeout=timeout, retries=retries, workers=workers, reply_key=reply_key
+        )
     raise ConfigError(
         f"unknown backend scheme {scheme!r}; expected reference, file, subprocess, or http"
     )

@@ -6,8 +6,8 @@ superlative cue in the question still marks it RQ; everything else is EQ.
 Comparative cues come from an explicit lexicon plus morphological suffix
 rules with an exception list, replacing POS tagging.  The combined strategy
 defers borderline EQ calls to a secondary classifier, any callable from an
-instance to "EQ" or "RQ"; the CLI builds it from the subprocess or HTTP
-model backend (``backends.SubprocessBackend.ask``/``HttpBackend.ask``).
+instance to "EQ" or "RQ"; ``freb classify --secondary <spec>`` builds it
+with ``backends.parse_backend`` from a subprocess: or http(s): spec.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .backends import HttpBackend, SubprocessBackend
+from .backends import HttpBackend, SubprocessBackend, parse_backend
 from .classify import ComparativeLexicon, classify_combined, classify_rule_based
 from .core import EQ, RQ, UNKNOWN
 from .errors import BackendError, ConfigError, DatasetError
@@ -66,9 +66,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--out", required=True)
     c.add_argument("--lexicon", help="JSON file overriding the comparative lexicon")
-    c.add_argument("--combined", action="store_true", help="require a secondary classifier to confirm EQ labels")
-    c.add_argument("--secondary-cmd", help="shell command used as the secondary classifier")
-    c.add_argument("--secondary-url", help="HTTP endpoint used as the secondary classifier")
+    c.add_argument("--secondary", help="subprocess:<cmd> or http(s):<url> that must confirm EQ labels")
     c.add_argument("--timeout", type=float, default=30.0)
     c.add_argument("--retries", type=int, default=0)
     c.add_argument("--positional-words", help="file with one positional word per line")
@@ -123,22 +121,19 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-def _make_secondary(args):
-    if bool(args.secondary_cmd) == bool(args.secondary_url):
-        raise ConfigError("--combined needs exactly one of --secondary-cmd or --secondary-url")
-    if args.secondary_cmd:
-        return SubprocessBackend(args.secondary_cmd, timeout=args.timeout, retries=args.retries).ask
-    return HttpBackend(
-        args.secondary_url, timeout=args.timeout, retries=args.retries, reply_key="label"
-    ).ask
-
-
 def _cmd_classify(args) -> int:
-    if (args.secondary_cmd or args.secondary_url) and not args.combined:
-        raise ConfigError("--secondary-cmd and --secondary-url need --combined")
     if args.positional_words and not args.drop_positional:
         raise ConfigError("--positional-words needs --drop-positional")
     check_timeout_retries(args.timeout, args.retries)
+    secondary = None
+    if args.secondary is not None:
+        secondary = parse_backend(
+            args.secondary, timeout=args.timeout, retries=args.retries, reply_key="label"
+        )
+        if not isinstance(secondary, (SubprocessBackend, HttpBackend)):
+            raise ConfigError(
+                f"--secondary must be subprocess:<cmd> or http(s):<url>, not {args.secondary!r}"
+            )
     instances = load_dataset(args.input)
     lexicon = ComparativeLexicon.from_file(args.lexicon) if args.lexicon else ComparativeLexicon()
 
@@ -151,13 +146,12 @@ def _cmd_classify(args) -> int:
         )
         instances, dropped = filter_positional_questions(instances, words)
 
-    secondary = _make_secondary(args) if args.combined else None
     counts = {EQ: 0, RQ: 0, UNKNOWN: 0}
     records = []
     for inst in instances:
         if secondary is not None:
             try:
-                label = classify_combined(inst, lexicon, secondary)
+                label = classify_combined(inst, lexicon, secondary.ask)
             except BackendError as exc:
                 label = UNKNOWN
                 reason = " ".join(str(exc).split())  # one line, whatever the secondary wrote

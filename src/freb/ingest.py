@@ -120,18 +120,22 @@ def _aggregation_to_json(agg: AggregationDescriptor) -> dict:
     return out
 
 
-def _aggregation_from_json(data: dict) -> AggregationDescriptor:
-    filt = None
-    if data.get("filter") is not None:
-        filt = (int(data["filter"]["col"]), str(data["filter"]["value"]))
+def _aggregation_from_json(data) -> AggregationDescriptor:
+    _typed(data, dict, "aggregation")
+    filt = data.get("filter")
+    if filt is not None:
+        _typed(filt, dict, "filter")
+        filt = (_typed(filt["col"], int, "filter col"), _text(filt["value"], "filter value"))
     operands = None
     if data.get("operands") is not None:
-        a, b = data["operands"]
-        operands = (CellCoord(int(a[0]), int(a[1])), CellCoord(int(b[0]), int(b[1])))
+        operands = _coords(data["operands"], "operands")
+        if len(operands) != 2:
+            raise ValueError(f"operands must hold two cells, not {len(operands)}")
+    label_col = data.get("label_col")
     return AggregationDescriptor(
-        kind=str(data["kind"]),
-        value_col=int(data["value_col"]),
-        label_col=None if data.get("label_col") is None else int(data["label_col"]),
+        kind=_text(data["kind"], "aggregation kind"),
+        value_col=_typed(data["value_col"], int, "value_col"),
+        label_col=None if label_col is None else _typed(label_col, int, "label_col"),
         filter=filt,
         operands=operands,
     )
@@ -141,11 +145,15 @@ def _excerpt(value) -> str:
     return json.dumps(value, ensure_ascii=False)[:60]
 
 
-def _array(value, what: str) -> list:
-    """``value`` if it is a JSON array; ValueError otherwise, so that a string
-    is never split into letters."""
-    if type(value) is not list:
-        raise ValueError(f"{what} must be a JSON array, not {_excerpt(value)}")
+_JSON_TYPES = {list: "a JSON array", dict: "a JSON object", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``, one of _JSON_TYPES;
+    ValueError otherwise, so that a string is never split into letters and
+    neither text, a fraction nor true/false is read as a row or column."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {_excerpt(value)}")
     return value
 
 
@@ -163,24 +171,32 @@ def _text(value, what: str) -> str:
 
 def _texts(value, what: str) -> list:
     """``value`` if it is a JSON array of strings and numbers; ValueError otherwise."""
-    if not _TEXT_TYPES.issuperset(map(type, _array(value, what))):
+    if not _TEXT_TYPES.issuperset(map(type, _typed(value, list, what))):
         bad = next(item for item in value if type(item) not in _TEXT_TYPES)
         raise ValueError(f"{what} must hold strings or numbers, not {_excerpt(bad)}")
     return value
 
 
+def _coords(value, what: str) -> tuple[CellCoord, ...]:
+    """A JSON array of [row, col] integer pairs as cell coordinates;
+    ValueError otherwise, so that "01" is never read as row 0, column 1."""
+    pairs = _typed(value, list, what)
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2 or {type(pair[0]), type(pair[1])} != {int}:
+            raise ValueError(f"{what} must hold [row, col] integer pairs, not {_excerpt(pair)}")
+    return tuple(CellCoord(row, col) for row, col in pairs)
+
+
 def instance_from_record(record: dict) -> QAInstance:
     try:
-        rows = _array(record["table"]["rows"], "rows")
+        rows = _typed(record["table"]["rows"], list, "rows")
         table = Table.from_values(
             _texts(record["table"]["headers"], "headers"),
             [_texts(row, f"row {i}") for i, row in enumerate(rows)],
         )
         relevant = None
         if record.get("relevant_cells") is not None:
-            relevant = tuple(
-                CellCoord(int(r), int(c)) for r, c in record["relevant_cells"]
-            )
+            relevant = _coords(record["relevant_cells"], "relevant_cells")
         aggregation = None
         if record.get("aggregation") is not None:
             aggregation = _aggregation_from_json(record["aggregation"])
@@ -189,7 +205,7 @@ def instance_from_record(record: dict) -> QAInstance:
             question=_text(record["question"], "question"),
             answers=tuple(str(a) for a in _texts(record["answers"], "answers")),
             table=table,
-            question_type=str(record.get("question_type", UNKNOWN)),
+            question_type=_text(record.get("question_type", UNKNOWN), "question_type"),
             relevant_cells=relevant,
             aggregation=aggregation,
             source=_text(record.get("source", ""), "source"),

@@ -248,8 +248,8 @@ def _outcomes(backend, condition: tuple[str, int], instances, known: dict) -> tu
     ``known`` maps id() of each instance whose outcome this run may reuse to
     (the instance, whether it was answered correctly, its failure text or
     None); holding the instance keeps its id from reuse.  Only the other
-    instances are asked, and their outcomes join ``known`` as far as
-    ``backend.reuses`` allows.
+    instances are asked, and their outcomes join ``known`` if the backend
+    ``reuses`` them.
     """
     entries, failures = backend.predictions_for(
         condition, [inst for inst in instances if id(inst) not in known]
@@ -261,7 +261,7 @@ def _outcomes(backend, condition: tuple[str, int], instances, known: dict) -> tu
         if outcome is None:
             failure = failures.get(inst.id)
             outcome = (inst, is_correct(entries.get(inst.id), inst.answers), failure)
-            if ("answers" if failure is None else "failures") in backend.reuses:
+            if backend.reuses:
                 known[id(inst)] = outcome
         correct[inst.id] = outcome[1]
         if outcome[2] is not None:

@@ -152,7 +152,36 @@ def test_file_backend_null_prediction_is_a_failure(tmp_path):
     )
     entries, failures = FileBackend(tmp_path).predictions_for((ORIGINAL, 0), [LOOKUP])
     assert entries == {"eq-1": None}
-    assert failures == {"eq-1": "null prediction in original.jsonl"}
+    assert failures == {"eq-1": "prediction in original.jsonl must be a string or number, not null"}
+
+
+@pytest.mark.parametrize("prediction", [True, ["3"], {"answer": "3"}])
+def test_file_backend_prediction_that_is_not_text_is_a_failure(tmp_path, prediction):
+    _write_predictions(
+        tmp_path / "original.jsonl", [{"instance_id": "eq-1", "prediction": prediction}]
+    )
+    entries, failures = FileBackend(tmp_path).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": None}
+    assert "must be a string or number" in failures["eq-1"]
+
+
+def test_file_backend_numeric_prediction_and_id_are_text(tmp_path):
+    _write_predictions(tmp_path / "original.jsonl", [{"instance_id": 7, "prediction": 4}])
+    entries, failures = FileBackend(tmp_path).predictions_for(
+        (ORIGINAL, 0), [replace(LOOKUP, id="7")]
+    )
+    assert entries == {"7": "4"} and failures == {}
+
+
+@pytest.mark.parametrize("instance_id", [None, True, ["eq-1"]])
+def test_file_backend_id_that_is_not_text_cites_line(tmp_path, instance_id):
+    # A null id must not name the instance whose id is "None".
+    _write_predictions(
+        tmp_path / "original.jsonl",
+        [{"instance_id": "a", "prediction": "x"}, {"instance_id": instance_id, "prediction": "4"}],
+    )
+    with pytest.raises(DatasetError, match="line 2: bad prediction record: instance_id must be"):
+        FileBackend(tmp_path).predictions_for((ORIGINAL, 0), [replace(LOOKUP, id="None")])
 
 
 def test_file_backend_bad_record_cites_line(tmp_path):
@@ -306,8 +335,10 @@ def test_http_backend_unreachable_records_failure():
     [
         ('["x"]', "not a JSON object"),
         ('"x"', "not a JSON object"),
-        ('{"answer": null}', "not a string or number"),
-        ('{"answer": ["x"]}', "not a string or number"),
+        ('{"answer": null}', "must be a string or number, not null"),
+        ('{"answer": ["x"]}', 'must be a string or number, not ["x"]'),
+        ('{"answer": true}', "must be a string or number, not true"),
+        ('{"answer": {"x": 1}}', "must be a string or number, not {"),
         ('{"label": "x"}', 'no "answer"'),
         ("not json", "Expecting value"),
     ],

@@ -158,18 +158,19 @@ def test_subprocess_secondary_failure_raises():
         backend.ask(_inst("q", ["x"]))
 
 
-# --- classify --combined through the CLI -------------------------------------------
+# --- classify --secondary through the CLI ------------------------------------------
 
 # Rule-based EQ, so each goes to the secondary.
 BRANT = _inst("What did Brant score?", ["24"])
 
 
-def _classify(tmp_path, instances, *secondary):
-    """Labels `freb classify --combined` writes for ``instances``."""
+def _classify(tmp_path, instances, secondary, *flags):
+    """Labels `freb classify --secondary` writes for ``instances``."""
     data = tmp_path / "in.jsonl"
     save_dataset(instances, data)
     out = tmp_path / "labeled.jsonl"
-    code = main(["classify", "--in", str(data), "--out", str(out), "--combined", *secondary])
+    argv = ["classify", "--in", str(data), "--out", str(out), "--secondary", secondary]
+    code = main([*argv, *flags])
     assert code == 0
     return [r["question_type"] for r in read_records(out)]
 
@@ -189,8 +190,7 @@ def test_cli_secondary_url_forwards_token(tmp_path, toy_path, loopback, monkeypa
             str(toy_path),
             "--out",
             str(out),
-            "--combined",
-            "--secondary-url",
+            "--secondary",
             loopback.url,
         ]
     )
@@ -202,13 +202,13 @@ def test_cli_secondary_url_forwards_token(tmp_path, toy_path, loopback, monkeypa
 
 def test_cli_undecodable_secondary_reply_is_unknown(tmp_path):
     # The secondary's reply is not UTF-8 and so not an EQ/RQ label.
-    assert _classify(tmp_path, [BRANT], "--secondary-cmd", "printf '\\377EQ\\n'") == ["UNKNOWN"]
+    assert _classify(tmp_path, [BRANT], "subprocess:printf '\\377EQ\\n'") == ["UNKNOWN"]
 
 
 def test_cli_failing_secondary_is_retried_then_unknown(tmp_path, capsys):
     counter = tmp_path / "calls"
     command = f"echo call >> {shlex.quote(str(counter))}; printf 'no\\nlabel\\n' >&2; exit 1"
-    labels = _classify(tmp_path, [BRANT], "--secondary-cmd", command, "--retries", "2")
+    labels = _classify(tmp_path, [BRANT], f"subprocess:{command}", "--retries", "2")
     assert labels == ["UNKNOWN"]
     assert _calls(counter) == 3
     # The reason is one line on stderr, not in the output file.
@@ -219,18 +219,18 @@ def test_cli_secondary_asked_once_per_distinct_input(tmp_path):
     counter = tmp_path / "calls"
     command = f"cat >/dev/null; echo call >> {shlex.quote(str(counter))}; echo EQ"
     twins = [BRANT, replace(BRANT, id="c2")]
-    assert _classify(tmp_path, twins, "--secondary-cmd", command) == [EQ, EQ]
+    assert _classify(tmp_path, twins, f"subprocess:{command}") == [EQ, EQ]
     assert _calls(counter) == 1
 
 
 def test_cli_secondary_label_is_its_first_line(tmp_path):
     command = "cat >/dev/null; printf 'EQ\\nbecause Brant is named in the question\\n'"
-    assert _classify(tmp_path, [BRANT], "--secondary-cmd", command) == [EQ]
+    assert _classify(tmp_path, [BRANT], f"subprocess:{command}") == [EQ]
 
 
 @pytest.mark.parametrize("reply", ["not json", '["EQ"]', "{}", '{"label": null}'])
 def test_cli_hostile_secondary_reply_is_unknown(tmp_path, loopback, capsys, reply):
     loopback.replies = [reply]
-    assert _classify(tmp_path, [BRANT], "--secondary-url", loopback.url) == ["UNKNOWN"]
+    assert _classify(tmp_path, [BRANT], loopback.url) == ["UNKNOWN"]
     assert len(loopback.seen) == 1
     assert "Traceback" not in capsys.readouterr().err

@@ -131,9 +131,8 @@ def test_classify_combined_secondary_stub(tmp_path, toy_path):
             str(toy_path),
             "--out",
             str(out),
-            "--combined",
-            "--secondary-cmd",
-            "echo EQ",
+            "--secondary",
+            "subprocess:echo EQ",
         ]
     )
     assert code == 0
@@ -145,18 +144,24 @@ def test_classify_combined_secondary_stub(tmp_path, toy_path):
     assert combined_rq == rule_rq
 
 
-def test_classify_combined_needs_exactly_one_secondary(tmp_path, toy_path):
+@pytest.mark.parametrize(
+    "flags",
+    [["--combined"], ["--secondary-cmd", "echo EQ"], ["--secondary-url", "http://127.0.0.1:9/"]],
+)
+def test_classify_old_secondary_flags_are_config_errors(tmp_path, toy_path, capsys, flags):
     out = tmp_path / "labeled.jsonl"
-    assert (
-        main(["classify", "--in", str(toy_path), "--out", str(out), "--combined"]) == 1
-    )
+    assert main(["classify", "--in", str(toy_path), "--out", str(out), *flags]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: unrecognized arguments")
 
 
+# A secondary that is not a subprocess or HTTP model is refused the same way:
+# before anything is read or run.
 @pytest.mark.parametrize(
     "flags,missing",
     [
-        (["--secondary-cmd", "touch {marker}"], "--combined"),
-        (["--secondary-url", "http://127.0.0.1:9/"], "--combined"),
+        (["--secondary", "reference:faithful_oracle"], "--secondary must be"),
+        (["--secondary", "file:{marker}"], "--secondary must be"),
         (["--positional-words", "{marker}"], "--drop-positional"),
     ],
 )
@@ -327,7 +332,7 @@ def test_exit_code_bad_timeout_or_retries(tmp_path, toy_path, capsys, flags):
     assert not out.exists()
     labeled = tmp_path / "labeled.jsonl"
     classify = ["classify", "--in", str(toy_path), "--out", str(labeled)]
-    assert main([*classify, "--combined", "--secondary-cmd", "echo EQ", *flags]) == 1
+    assert main([*classify, "--secondary", "subprocess:echo EQ", *flags]) == 1
     assert not labeled.exists()
     err = capsys.readouterr().err
     assert err.count("config error: ") == 2

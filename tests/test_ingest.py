@@ -5,6 +5,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freb.core import (
     ARGMAX,
@@ -166,6 +168,164 @@ def test_load_dataset_reads_numbers_as_cells_and_answers(tmp_path):
     (inst,) = load_dataset(path)
     assert (inst.id, inst.answers) == ("7", ("3",))
     assert inst.table.grid_values() == [["3", "2.5"]]
+
+
+_AGGREGATION = {"kind": "COUNT", "value_col": 0, "filter": {"col": 0, "value": "Kyoto"}}
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"relevant_cells": ["01"]}, 'relevant_cells must hold [row, col] integer pairs, not "01"'),
+        ({"relevant_cells": [[1.9, 0.2]]}, "relevant_cells must hold [row, col] integer pairs"),
+        ({"relevant_cells": [[True, False]]}, "relevant_cells must hold [row, col] integer pairs"),
+        ({"relevant_cells": [[0, 0, 0]]}, "relevant_cells must hold [row, col] integer pairs"),
+        ({"relevant_cells": "01"}, 'relevant_cells must be a JSON array, not "01"'),
+        ({"aggregation": {"kind": "DIFF", "value_col": 1, "operands": ["01", "11"]}},
+         'operands must hold [row, col] integer pairs, not "01"'),
+        ({"aggregation": {"kind": "DIFF", "value_col": 1, "operands": [[0, 1]]}},
+         "operands must hold two cells, not 1"),
+        ({"aggregation": {**_AGGREGATION, "value_col": "1"}}, 'value_col must be an integer, not "1"'),
+        ({"aggregation": {**_AGGREGATION, "value_col": 1.9}}, "value_col must be an integer, not 1.9"),
+        ({"aggregation": {**_AGGREGATION, "value_col": True}}, "value_col must be an integer, not true"),
+        ({"aggregation": {**_AGGREGATION, "label_col": 0.0}}, "label_col must be an integer, not 0.0"),
+        ({"aggregation": {**_AGGREGATION, "filter": {"col": "0", "value": "Kyoto"}}},
+         'filter col must be an integer, not "0"'),
+        ({"aggregation": {**_AGGREGATION, "filter": {"col": 0, "value": None}}},
+         "filter value must be a string or number, not null"),
+        ({"aggregation": {**_AGGREGATION, "filter": ["col", 0]}}, "filter must be a JSON object"),
+        ({"aggregation": {**_AGGREGATION, "kind": None}},
+         "aggregation kind must be a string or number, not null"),
+        ({"aggregation": [1]}, "aggregation must be a JSON object, not [1]"),
+        ({"question_type": None}, "question_type must be a string or number, not null"),
+        ({"question_type": True}, "question_type must be a string or number, not true"),
+    ],
+)
+def test_load_dataset_rejects_coordinates_and_columns_that_are_not_integers(
+    tmp_path, change, message
+):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps(instance_to_record(_full_instance()))
+    record = {"id": "b", "question": "How many are Kyoto?", "answers": ["1"],
+              "table": {"headers": ["City", "N"], "rows": [["Kyoto", "2"], ["Lyon", "3"]]},
+              **change}
+    path.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=re.escape(f"bad.jsonl:2: malformed record: {message}")):
+        load_dataset(path)
+
+
+# Raw records for the round-trip property: valid ones, and valid ones with
+# one value replaced by a wrong type of JSON value.
+_scalars = st.one_of(
+    st.text(max_size=4), st.integers(-99, 99), st.floats(allow_nan=False, allow_infinity=False)
+)
+_indices = st.integers(0, 9)
+_pairs = st.lists(_indices, min_size=2, max_size=2)
+
+
+@st.composite
+def _aggregations(draw):
+    aggregation = {"kind": draw(st.sampled_from([COUNT, ARGMAX, "DIFF", 3])),
+                   "value_col": draw(_indices)}
+    optional = {
+        "label_col": _indices,
+        "filter": st.fixed_dictionaries({"col": _indices, "value": _scalars}),
+        "operands": st.lists(_pairs, min_size=2, max_size=2),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            aggregation[key] = draw(strategy)
+    return aggregation
+
+
+_MUTATIONS = [
+    (("relevant_cells",), ["01"]),
+    (("relevant_cells",), [[1.9, 0.2]]),
+    (("relevant_cells",), [[True, False]]),
+    (("relevant_cells",), [[0]]),
+    (("relevant_cells",), "01"),
+    (("aggregation", "operands"), ["01", "11"]),
+    (("aggregation", "operands"), [[0, 1]]),
+    (("aggregation", "operands"), [[0, 1.0], [1, 1]]),
+    (("aggregation", "value_col"), "1"),
+    (("aggregation", "value_col"), 1.9),
+    (("aggregation", "value_col"), True),
+    (("aggregation", "label_col"), "0"),
+    (("aggregation", "label_col"), False),
+    (("aggregation", "filter", "col"), "0"),
+    (("aggregation", "filter", "col"), 0.0),
+    (("aggregation", "filter", "value"), None),
+    (("aggregation", "filter", "value"), True),
+    (("aggregation", "filter"), "x"),
+    (("aggregation", "kind"), None),
+    (("aggregation", "kind"), ["COUNT"]),
+    (("aggregation",), [1]),
+    (("question_type",), None),
+    (("question_type",), True),
+    (("id",), None),
+    (("answers",), "Leslie"),
+    (("table", "headers"), [True]),
+]
+
+
+@st.composite
+def _records(draw):
+    n_cols = draw(st.integers(1, 3))
+    cells = st.lists(_scalars, min_size=n_cols, max_size=n_cols)
+    record = {
+        "id": draw(_scalars),
+        "question": draw(_scalars),
+        "answers": draw(st.lists(_scalars, min_size=1, max_size=2)),
+        "table": {"headers": draw(cells), "rows": draw(st.lists(cells, max_size=3))},
+    }
+    # An optional key is absent or holds a value that is written back; the
+    # defaults (UNKNOWN question_type, empty source, null) are never drawn.
+    optional = {
+        "question_type": st.sampled_from([EQ, RQ, 7]),
+        "relevant_cells": st.lists(_pairs, max_size=3),
+        "aggregation": _aggregations(),
+        "source": st.one_of(st.text(min_size=1, max_size=4), st.integers()),
+    }
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            record[key] = draw(strategy)
+    mutation = draw(st.one_of(st.none(), st.sampled_from(_MUTATIONS)))
+    if mutation is not None:
+        (*parents, key), value = mutation
+        node = record
+        for parent in parents:
+            node = node.setdefault(parent, {"kind": COUNT, "value_col": 0} if parent == "aggregation"
+                                   else {"col": 0, "value": "x"})
+        node[key] = value
+    return record
+
+
+# The keys whose values are integers, not text.
+_INTEGER_KEYS = frozenset({"relevant_cells", "operands", "value_col", "label_col", "col"})
+
+
+def _as_written(value):
+    """``value`` with each number where the format wants text made text: the
+    one change a record's round trip makes."""
+    if type(value) is dict:
+        return {k: v if k in _INTEGER_KEYS else _as_written(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_as_written(v) for v in value]
+    return str(value) if type(value) in (int, float) else value
+
+
+@settings(max_examples=150, deadline=None)
+@given(_records())
+@example({"id": "a", "question": "q", "answers": ["x"],
+          "table": {"headers": ["H"], "rows": [["x"]]}, "relevant_cells": ["01"]})
+def test_record_round_trips_or_is_a_data_error(record):
+    try:
+        instance = instance_from_record(record)
+    except DatasetError:
+        return
+    # JSON text, so that true is not 1 and 1.0 is not 1.
+    back = json.dumps(instance_to_record(instance), sort_keys=True)
+    assert back == json.dumps(_as_written(record), sort_keys=True)
 
 
 def test_read_records_rejects_non_object(tmp_path):
