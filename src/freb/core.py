@@ -3,7 +3,10 @@
 All types are immutable after construction and safe to share across workers,
 except that a Cell fills its parsed number and its normalized answer key
 lazily, each on first read; both are derived from the raw text alone and take
-no part in equality, hashing or repr.
+no part in equality, hashing or repr.  That is what lets one Cell stand for
+every position holding its text: a CellPool, kept for one dataset load,
+builds each distinct text's cell once and hands it to every table in the
+file, so each text is parsed and normalized at most once per load.
 Tables are flat rectangular grids of text cells with a single header row;
 blank cells are empty strings, never None.  Dates are plain text; only
 decimal numbers get a parsed representation.
@@ -114,9 +117,11 @@ class Cell:
 
     Building a cell parses nothing: the number and the normalized key are
     computed on first read and cached here.  Perturbed tables share their
-    original's cells, so each is computed at most once per cell, whichever
-    kind or seed reads it.  ``...`` marks a number not parsed yet (None
-    means "not numeric"); being a singleton, it survives pickle and copy.
+    original's cells, and within one dataset load equal texts share one cell
+    (see CellPool), so each is computed at most once per distinct text,
+    whichever instance, kind or seed reads it.  ``...`` marks a number not
+    parsed yet (None means "not numeric"); being a singleton, it survives
+    pickle and copy.
     """
 
     raw: str
@@ -145,6 +150,15 @@ class Cell:
         return key
 
 
+class CellPool(dict):
+    """Raw text -> the one Cell built for it; looking up a new text builds
+    its cell.  Kept for one dataset load only, so no parsed state outlives it."""
+
+    def __missing__(self, raw: str) -> Cell:
+        cell = self[raw] = Cell(raw)
+        return cell
+
+
 @dataclass(frozen=True)
 class CellCoord:
     """0-based (row, col) position; row indices exclude the header row."""
@@ -159,11 +173,15 @@ class Table:
     rows: tuple[tuple[Cell, ...], ...]
 
     @staticmethod
-    def from_values(headers, grid) -> Table:
-        """Build a table from plain strings (the usual entry point)."""
+    def from_values(headers, grid, pool: CellPool | None = None) -> Table:
+        """Build a table from plain strings (the usual entry point).
+
+        Without ``pool`` every position gets a cell of its own; with one,
+        equal texts share the pool's cell."""
+        make = Cell if pool is None else pool.__getitem__
         return Table(
-            headers=tuple(str(h) for h in headers),
-            rows=tuple(tuple(Cell(str(v)) for v in row) for row in grid),
+            headers=tuple(map(str, headers)),
+            rows=tuple(tuple(map(make, map(str, row))) for row in grid),
         )
 
     @property

@@ -23,6 +23,7 @@ from pathlib import Path
 from .core import (
     AggregationDescriptor,
     CellCoord,
+    CellPool,
     QAInstance,
     Table,
     UNKNOWN,
@@ -187,12 +188,15 @@ def _coords(value, what: str) -> tuple[CellCoord, ...]:
     return tuple(CellCoord(row, col) for row, col in pairs)
 
 
-def instance_from_record(record: dict) -> QAInstance:
+def instance_from_record(record: dict, pool: CellPool | None = None) -> QAInstance:
+    """The instance a record describes; its table's cells come from ``pool``
+    when one is given (see ``Table.from_values``)."""
     try:
         rows = _typed(record["table"]["rows"], list, "rows")
         table = Table.from_values(
             _texts(record["table"]["headers"], "headers"),
             [_texts(row, f"row {i}") for i, row in enumerate(rows)],
+            pool,
         )
         relevant = None
         if record.get("relevant_cells") is not None:
@@ -233,11 +237,17 @@ def read_lines(path, what: str, error: type[FrebError] = DatasetError, digest=No
         raise error(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from exc
 
 
+# What json.loads raises on text it cannot read: JSONDecodeError for bad
+# syntax, a plain ValueError for an integer past Python's int-to-string digit
+# limit (4,300 digits), and RecursionError for arrays or objects nested too deep.
+_UNREADABLE_JSON = (ValueError, RecursionError)
+
+
 def read_json(path, what: str):
     """The one JSON document in the file ``path``; DatasetError if unreadable."""
     try:
         return json.loads("".join(line for _, line in read_lines(path, what)))
-    except json.JSONDecodeError as exc:
+    except _UNREADABLE_JSON as exc:
         raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -250,7 +260,7 @@ def iter_records(path, what: str = "dataset file", digest=None):
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except _UNREADABLE_JSON as exc:
             raise DatasetError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise DatasetError(f"{path}:{line_no}: record is not an object")
@@ -300,9 +310,10 @@ def load_dataset(path, digest=None) -> list[QAInstance]:
     ``digest``, a hashlib object, is updated with every byte of the file."""
     instances = []
     seen_ids = set()
+    pool = CellPool()  # equal cell texts anywhere in the file share one Cell
     for line_no, record in iter_records(path, digest=digest):
         try:
-            instance = instance_from_record(record)
+            instance = instance_from_record(record, pool)
         except DatasetError as exc:
             raise DatasetError(f"{path}:{line_no}: {exc}") from exc
         problems = validate(instance)

@@ -432,6 +432,29 @@ def test_bad_input_file_is_one_error_line(tmp_path, toy_path, capsys, name, faul
     assert not out.exists()
 
 
+# JSON that json.loads refuses with a plain ValueError (an integer past
+# Python's 4,300-digit int-to-string limit) or a RecursionError (nesting
+# too deep), not a JSONDecodeError.
+_UNREADABLE_JSON = {"huge integer": '{"id": ' + "1" * 5000 + "}\n",
+                    "deep nesting": "[" * 100_000 + "\n"}
+
+
+@pytest.mark.parametrize("fault", list(_UNREADABLE_JSON))
+@pytest.mark.parametrize("name", [n for n in _INPUTS if n not in (
+    "evaluate --config", "classify --positional-words")])
+def test_unreadable_json_is_one_error_line(tmp_path, toy_path, capsys, name, fault):
+    bad = tmp_path / "in" / "original.jsonl"
+    bad.parent.mkdir()
+    bad.write_text(_UNREADABLE_JSON[fault], encoding="utf-8")
+    code, argv = _INPUTS[name]
+    out = tmp_path / "out"
+    assert main(argv(str(bad), str(toy_path), str(out))) == code
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    assert not out.exists()
+
+
 def test_flags_complete_a_config_file(tmp_path, toy_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kinds = transpose\nseeds = 0,1\n", encoding="utf-8")

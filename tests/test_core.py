@@ -20,6 +20,7 @@ from freb.core import (
     AggregationDescriptor,
     Cell,
     CellCoord,
+    CellPool,
     QAInstance,
     Table,
     canonical_decimal,
@@ -185,6 +186,54 @@ def test_load_dataset_parses_no_numbers(toy_path, monkeypatch):
     cell = instances[0].table.rows[0][0]
     cell.parsed_number
     assert calls == [cell.raw]
+
+
+def _cells(instances):
+    return [cell for inst in instances for row in inst.table.rows for cell in row]
+
+
+def test_load_dataset_shares_one_cell_per_text(toy_path):
+    from freb.ingest import load_dataset
+
+    instances = load_dataset(toy_path)
+    by_text = {}
+    for cell in _cells(instances):
+        assert by_text.setdefault(cell.raw, cell) is cell
+    # Some of those texts recur in two different instances.
+    first, second = ({cell.raw for cell in _cells([inst])} for inst in instances[:2])
+    assert first & second
+
+
+def test_two_loads_share_no_cell(toy_path):
+    from freb.ingest import load_dataset
+
+    first, second = _cells(load_dataset(toy_path)), _cells(load_dataset(toy_path))
+    assert not {id(cell) for cell in first} & {id(cell) for cell in second}
+
+
+def test_load_dataset_parses_each_distinct_text_once(toy_path, monkeypatch):
+    from freb.ingest import load_dataset
+
+    calls = _count_parses(monkeypatch)
+    cells = _cells(load_dataset(toy_path))
+    for cell in cells:
+        cell.parsed_number
+    assert sorted(calls) == sorted({cell.raw for cell in cells})
+
+
+def test_from_values_without_a_pool_builds_a_cell_per_position():
+    table = Table.from_values(["a", "b"], [["7", "7"], ["7", 7]])
+    cells = [cell for row in table.rows for cell in row]
+    assert [cell.raw for cell in cells] == ["7"] * 4
+    assert len({id(cell) for cell in cells}) == 4
+
+
+def test_from_values_with_a_pool_reuses_its_cells():
+    pool = CellPool()
+    first = Table.from_values(["a"], [["7"], [7]], pool)
+    second = Table.from_values(["b"], [["7"]], pool)
+    assert first.rows[0][0] is first.rows[1][0] is second.rows[0][0] is pool["7"]
+    assert list(pool) == ["7"]
 
 
 @pytest.mark.parametrize("raw", ["1,500", "Leslie"])

@@ -23,6 +23,30 @@ def test_bench_tracer_installs():
     assert result.returncode == 0, result.stderr
 
 
+def test_bench_counts_one_cell_built_per_distinct_text_loaded(tmp_path):
+    # core.cells_built counts Cell.__post_init__ runs, and a load builds one
+    # cell per distinct cell text in the file.  A cell constructor that
+    # skipped __post_init__, or a load without its cell pool, breaks this.
+    path = tmp_path / "toy.jsonl"
+    code = (
+        'import sys; sys.path.insert(0, "bench"); from tracing import Tracer\n'
+        "from freb import cli, ingest\n"
+        f"assert cli.main(['toydata', '--out', {str(path)!r}]) == 0\n"
+        "tracer = Tracer(); tracer.install()\n"
+        f"ingest.load_dataset({str(path)!r})\n"
+        "print(tracer.summary()['core.cells_built'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    texts = [str(v) for r in records for row in r["table"]["rows"] for v in row]
+    assert int(result.stdout.splitlines()[-1]) == len(set(texts)) < len(texts)
+
+
 def test_bench_counts_the_reference_models_calls_per_kind(tmp_path, toy_path):
     # bench/child.py counts an oracle-mixed round's model calls at
     # ReferenceBackend.predictions_for.  A reference model is asked about each
