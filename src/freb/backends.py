@@ -5,7 +5,11 @@ Four flavors, each named by one spec string that ``parse_backend`` reads
 pre-computed prediction files, a subprocess invoked per distinct input, an
 HTTP endpoint, and built-in reference models.  The subprocess and HTTP
 backends share one transport, which sends each distinct payload once per
-run and remembers its answer, but not its failure.  The reference models
+run and remembers its answer, but not its failure.  It sends from one pool
+of ``workers`` threads kept until ``close``, and ``submit`` hands it a
+run's next instances to send ahead of ``predictions_for``.  Every backend
+has ``submit`` and ``close``; the file and reference backends answer when
+asked, so they never have anything in flight.  The reference models
 are deliberately simple probes: a faithful oracle that actually reads the
 table, positionally biased readers, and a constant-answer model.  A harness
 that cannot distinguish these has no business judging real systems.
@@ -26,7 +30,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .classify import ComparativeLexicon
 from .core import QAInstance
@@ -35,6 +39,9 @@ from .ingest import _text, iter_records
 from .metrics import ORIGINAL
 from .perturb import evaluate_aggregation, locate_target
 from .serialize import serialize
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 FAITHFUL_ORACLE = "FAITHFUL_ORACLE"
 LAST_ROW_BIASED = "LAST_ROW_BIASED"
@@ -85,7 +92,18 @@ def _faithful(instance: QAInstance) -> str:
         raise BackendError(f"oracle cannot answer {instance.id}: {exc}") from exc
 
 
-class ReferenceBackend:
+class _InProcess:
+    """What the reference and file backends share: they answer in the
+    caller's thread when asked, so nothing is ever in flight."""
+
+    def submit(self, instances: Sequence[QAInstance]) -> bool:
+        return False
+
+    def close(self) -> None:
+        pass
+
+
+class ReferenceBackend(_InProcess):
     reuses = True
 
     def __init__(
@@ -118,7 +136,7 @@ class ReferenceBackend:
         return entries, failures
 
 
-class FileBackend:
+class FileBackend(_InProcess):
     """Reads pre-computed predictions: one JSONL file per condition, named
     original.jsonl or <kind>.seed<k>.jsonl, lines {"instance_id", "prediction"}.
     A missing prediction, or one that is not text, is that instance's failure."""
@@ -160,9 +178,17 @@ class _Transport:
     Each distinct payload is sent once per run: answers are remembered by
     the payload's sha256 for the backend's lifetime, failures are not.  This
     memo is the one place a transport's answers are kept; a run does not
-    reuse them (``reuses`` is false) but asks again, and the memo answers.  A
-    subclass says how one instance becomes a payload (``_payload``) and how
-    one payload is sent and its reply read (``_send``, which raises on
+    reuse them (``reuses`` is false) but asks again, and the memo answers.
+
+    Payloads are sent by one pool of ``workers`` threads that the backend
+    owns until ``close``.  ``submit`` starts sending a run's next instances
+    before they are asked for, and ``predictions_for`` takes those attempts
+    over, so the model is kept busy while the caller does other work.  Only
+    the calling thread reads or writes the memo and the attempts in flight;
+    a worker runs ``_attempt`` alone.
+
+    A subclass says how one instance becomes a payload (``_payload``) and
+    how one payload is sent and its reply read (``_send``, which raises on
     failure).  The stdlib modules a transport sends with are imported on
     first use, so building any other backend never loads them.
     """
@@ -170,10 +196,19 @@ class _Transport:
     reuses = False
 
     def __init__(self, timeout: float, retries: int, workers: int):
+        from concurrent.futures import ThreadPoolExecutor
+
         self.timeout = timeout
         self.retries = retries
-        self.workers = workers
         self._answers: dict[str, str] = {}
+        # sha256 of a payload -> the Future of its one attempt in flight.
+        self._in_flight: dict[str, Future] = {}
+        self._pool = ThreadPoolExecutor(max_workers=workers)
+
+    def close(self) -> None:
+        """Stop the worker threads; attempts not yet started are dropped."""
+        self._pool.shutdown(cancel_futures=True)
+        self._in_flight.clear()
 
     def _attempt(self, payload: bytes) -> tuple[str | None, str | None]:
         """(answer, None) from the first attempt that succeeds, else (None, last error)."""
@@ -184,6 +219,20 @@ class _Transport:
             except (BackendError, OSError, ValueError) as exc:
                 last_error = str(exc)
         return None, last_error
+
+    def _keyed(self, instances: Sequence[QAInstance]):
+        """(instance id, payload sha256, payload) for each instance."""
+        for inst in instances:
+            payload = self._payload(inst)
+            yield inst.id, hashlib.sha256(payload).hexdigest(), payload
+
+    def submit(self, instances: Sequence[QAInstance]) -> bool:
+        """Start sending each payload that has no answer and is not in
+        flight, without waiting; whether any attempt is now in flight."""
+        for _, key, payload in self._keyed(instances):
+            if key not in self._answers and key not in self._in_flight:
+                self._in_flight[key] = self._pool.submit(self._attempt, payload)
+        return bool(self._in_flight)
 
     def ask(self, instance: QAInstance) -> str:
         """The answer for one instance; BackendError if every attempt failed."""
@@ -197,32 +246,29 @@ class _Transport:
     ) -> tuple[dict[str, str | None], dict[str, str]]:
         """Answer each instance, sending each payload not answered earlier once.
 
-        An answer depends on the payload alone, never on ``condition``.  New
-        answers are remembered after the worker pool returns.  Every
-        instance whose payload failed gets that failure.
+        An answer depends on the payload alone, never on ``condition``.  A
+        payload in flight is not sent again: this call takes its attempt
+        over, so each attempt is taken by the first call that asks for it.
+        Every instance whose attempt failed gets that failure; its payload
+        is sent again by the next call that asks for it.
         """
-        payloads = [(inst.id, self._payload(inst)) for inst in instances]
-        keys = [hashlib.sha256(payload).hexdigest() for _, payload in payloads]
-        new: dict[str, bytes] = {}
-        for (_, payload), key in zip(payloads, keys):
-            if key not in self._answers:
-                new.setdefault(key, payload)
-        if self.workers > 1 and len(new) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(self._attempt, new.values()))
-        else:
-            results = [self._attempt(payload) for payload in new.values()]
+        keyed = list(self._keyed(instances))
+        attempts: dict[str, Future] = {}
+        for _, key, payload in keyed:
+            if key not in self._answers and key not in attempts:
+                attempts[key] = self._in_flight.pop(key, None) or self._pool.submit(
+                    self._attempt, payload
+                )
         errors: dict[str, str] = {}
-        for key, (answer, error) in zip(new, results):
+        for key, attempt in attempts.items():
+            answer, error = attempt.result()
             if error is None:
                 self._answers[key] = answer
             else:
                 errors[key] = error
         entries: dict[str, str | None] = {}
         failures: dict[str, str] = {}
-        for (iid, _), key in zip(payloads, keys):
+        for iid, key, _ in keyed:
             if key in errors:
                 entries[iid] = None
                 failures[iid] = errors[key]

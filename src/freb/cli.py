@@ -148,20 +148,24 @@ def _cmd_classify(args) -> int:
 
     counts = {EQ: 0, RQ: 0, UNKNOWN: 0}
     records = []
-    for inst in instances:
+    try:
+        for inst in instances:
+            if secondary is not None:
+                try:
+                    label = classify_combined(inst, lexicon, secondary.ask)
+                except BackendError as exc:
+                    label = UNKNOWN
+                    reason = " ".join(str(exc).split())  # one line, whatever the secondary wrote
+                    print(f"{inst.id}: {reason}", file=sys.stderr)
+            else:
+                label = classify_rule_based(inst, lexicon)
+            counts[label] += 1
+            record = instance_to_record(inst)
+            record["question_type"] = label
+            records.append(record)
+    finally:
         if secondary is not None:
-            try:
-                label = classify_combined(inst, lexicon, secondary.ask)
-            except BackendError as exc:
-                label = UNKNOWN
-                reason = " ".join(str(exc).split())  # one line, whatever the secondary wrote
-                print(f"{inst.id}: {reason}", file=sys.stderr)
-        else:
-            label = classify_rule_based(inst, lexicon)
-        counts[label] += 1
-        record = instance_to_record(inst)
-        record["question_type"] = label
-        records.append(record)
+            secondary.close()
     write_records(records, args.out)
     print(
         f"{args.out}: {counts[EQ]} EQ, {counts[RQ]} RQ, {counts[UNKNOWN]} unknown"

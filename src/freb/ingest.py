@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,8 +143,26 @@ def _aggregation_from_json(data) -> AggregationDescriptor:
     )
 
 
+class JsonFloat(str):
+    """A JSON number with a fraction or exponent, as its file spells it:
+    ``1.50`` stays "1.50", where a float would read "1.5"."""
+
+    __slots__ = ()
+
+
+def _json_text(value) -> str:
+    """``value`` as JSON text, each JsonFloat as the numeral it was read from."""
+    if type(value) is JsonFloat:
+        return value
+    if type(value) is list:
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if type(value) is dict:
+        return "{" + ", ".join(f"{_json_text(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value, ensure_ascii=False)
+
+
 def _excerpt(value) -> str:
-    return json.dumps(value, ensure_ascii=False)[:60]
+    return _json_text(value)[:60]
 
 
 _JSON_TYPES = {list: "a JSON array", dict: "a JSON object", int: "an integer"}
@@ -159,7 +178,7 @@ def _typed(value, kind: type, what: str):
 
 
 # The JSON values read as text: strings and numbers, never null or true/false.
-_TEXT_TYPES = frozenset({str, int, float})
+_TEXT_TYPES = frozenset({str, int, float, JsonFloat})
 
 
 def _text(value, what: str) -> str:
@@ -237,31 +256,57 @@ def read_lines(path, what: str, error: type[FrebError] = DatasetError, digest=No
         raise error(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from exc
 
 
-# What json.loads raises on text it cannot read: JSONDecodeError for bad
-# syntax, a plain ValueError for an integer past Python's int-to-string digit
-# limit (4,300 digits), and RecursionError for arrays or objects nested too deep.
-_UNREADABLE_JSON = (ValueError, RecursionError)
+# A JSON string, or a JSON number: its integer digits, fraction and exponent.
+# Compiled on first use, which is an error's, so loading never pays for it.
+_JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?'
+
+
+def _long_integer(text: str) -> tuple[int, str]:
+    """The line of the integer in the JSON ``text`` that json.loads refused
+    with a plain ValueError, for having more digits than Python converts
+    (``sys.get_int_max_str_digits``), and words saying so."""
+    limit = sys.get_int_max_str_digits()
+    digits, start = next(
+        (token[1], token.start())
+        for token in re.finditer(_JSON_TOKEN, text)
+        if token[1] and token[2] is None and token[3] is None and len(token[1]) > limit
+    )
+    line = text.count("\n", 0, start) + 1
+    return line, f"an integer of {len(digits)} digits is past the limit of {limit} digits"
 
 
 def read_json(path, what: str):
     """The one JSON document in the file ``path``; DatasetError if unreadable."""
+    text = "".join(line for _, line in read_lines(path, what))
     try:
-        return json.loads("".join(line for _, line in read_lines(path, what)))
-    except _UNREADABLE_JSON as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+    except ValueError:
+        line, words = _long_integer(text)
+        raise DatasetError(f"{path}:{line}: not valid JSON: {words}") from None
+
+
+# One decoder for every record: json.loads with an option builds a new one per call.
+_RECORD_DECODER = json.JSONDecoder(parse_float=JsonFloat)
 
 
 def iter_records(path, what: str = "dataset file", digest=None):
     """(file line number, JSON object) for each non-blank line of a JSONL
-    file; ``digest`` is as for ``read_lines``."""
+    file; ``digest`` is as for ``read_lines``.  A number with a fraction or
+    exponent is read as the JsonFloat of its spelling."""
     for line_no, line in read_lines(path, what, digest=digest):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except _UNREADABLE_JSON as exc:
+            record = _RECORD_DECODER.decode(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DatasetError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        except ValueError:
+            raise DatasetError(
+                f"{path}:{line_no}: invalid JSON: {_long_integer(line)[1]}"
+            ) from None
         if not isinstance(record, dict):
             raise DatasetError(f"{path}:{line_no}: record is not an object")
         yield line_no, record

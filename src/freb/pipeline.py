@@ -5,15 +5,25 @@ restricted to the same instances, so Emd and VP always pair like with like
 even when eligibility rules shrink a condition's instance set.  The report
 is a plain dict with deterministic ordering, rendered to JSON with sorted
 keys — identical configs produce byte-identical reports.
+
+The backend is fed one kind ahead: the originals and each kind's
+conditions are handed to it (``submit``) before the batch before them is
+scored, so a subprocess or HTTP model answers the next kind while this one
+is perturbed and scored.  Scoring still runs in condition order, so the
+report does not depend on when answers arrive.  A reference or file model
+has nothing in flight, and each kind is scored as soon as it is made.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends import parse_backend
 from .classify import ComparativeLexicon
@@ -25,7 +35,6 @@ from .perturb import (
     FAMILY_KINDS,
     REMOVE_RELEVANT,
     REMOVE_TABLE,
-    Condition,
     iter_conditions,
     kind_from_name,
 )
@@ -175,29 +184,18 @@ def run_pipeline(config: RunConfig) -> dict:
         workers=config.workers,
     )
 
-    if config.max_tokens is not None:
-        kept, dropped = length_filter(instances, config.max_tokens)
-    else:
-        kept, dropped = list(instances), []
-    if not kept:
-        raise DatasetError("no instances left to evaluate after length filtering")
-
-    # The original outcomes the backend lets a run reuse: a no-op
-    # perturbation is the original instance, so each kind starts with these.
-    originals: dict = {}
-    original_correct, original_failures = _outcomes(backend, (ORIGINAL, 0), kept, originals)
-    # Perturbations never change the question, so its cue is computed once.
-    has_cue = {inst.id: lexicon.question_has_cue(inst.question) for inst in kept}
-
-    conditions = []
-    for _, same_kind in groupby(
-        iter_conditions(kept, config.kinds, config.seeds), key=lambda c: c.kind
-    ):
-        known = dict(originals)
-        conditions += [
-            _score_condition(backend, condition, original_correct, has_cue, known)
-            for condition in same_kind
-        ]
+    with closing(backend):
+        if config.max_tokens is not None:
+            kept, dropped = length_filter(instances, config.max_tokens)
+        else:
+            kept, dropped = list(instances), []
+        if not kept:
+            raise DatasetError("no instances left to evaluate after length filtering")
+        # Perturbations never change the question, so its cue is computed once.
+        has_cue = {inst.id: lexicon.question_has_cue(inst.question) for inst in kept}
+        original_correct, original_failures, conditions = _score_all(
+            backend, kept, config, has_cue
+        )
 
     report = {
         "model": backend.model_id,
@@ -241,6 +239,65 @@ _SUMMARY_SCORES = tuple(
 )
 
 
+class _Asked(NamedTuple):
+    """What scoring needs of a ``Condition``: its perturbed instances
+    without their provenance, so a kind held for scoring costs no more
+    than the instances it holds."""
+
+    kind: str
+    seed: int
+    perturbed: list
+    skipped: list[dict]
+
+
+def _score_all(backend, kept, config: RunConfig, has_cue) -> tuple[dict, dict, list[dict]]:
+    """The originals' outcomes (as ``_outcomes`` gives them) and every
+    condition's entry, in condition order.
+
+    The backend is handed each batch, the originals and then each kind's
+    conditions, before the batch before it is scored, so a transport
+    answers one kind ahead while the caller perturbs and scores.  A backend
+    with nothing in flight has each batch scored at once, so an in-process
+    model holds one kind at a time, as it is realized.
+    """
+    # The original outcomes the backend lets a run reuse: a no-op
+    # perturbation is the original instance, so each kind starts with these.
+    originals: dict = {}
+    original: list = []  # (correct, failures) of the originals once scored
+    conditions: list[dict] = []
+    held: deque = deque()  # batches handed to the backend, not yet scored
+
+    def score(batch) -> None:
+        if batch is None:
+            original.extend(_outcomes(backend, (ORIGINAL, 0), kept, originals))
+            return
+        known = dict(originals)
+        conditions.extend(
+            _score_condition(backend, condition, original[0], has_cue, known)
+            for condition in batch
+        )
+
+    def feed(batch) -> None:
+        """Hand ``batch`` (None for the originals) to the backend, then score
+        each batch held before it, and it too if nothing is in flight."""
+        instances = kept if batch is None else [i for c in batch for i in c.perturbed]
+        in_flight = backend.submit(instances)
+        held.append(batch)
+        while len(held) > int(in_flight):
+            score(held.popleft())
+
+    feed(None)
+    for _, same_kind in groupby(
+        iter_conditions(kept, config.kinds, config.seeds), key=lambda c: c.kind
+    ):
+        feed([_Asked(c.kind, c.seed, [inst for inst, _ in c.perturbed], c.skipped)
+              for c in same_kind])
+    while held:
+        score(held.popleft())
+    original_correct, original_failures = original
+    return original_correct, original_failures, conditions
+
+
 def _outcomes(backend, condition: tuple[str, int], instances, known: dict) -> tuple[dict, dict]:
     """Whether the backend answers each instance correctly, by id, and the
     failure text of each that it could not answer, sorted by id.
@@ -269,9 +326,9 @@ def _outcomes(backend, condition: tuple[str, int], instances, known: dict) -> tu
     return correct, dict(sorted(failed.items()))
 
 
-def _score_condition(backend, condition: Condition, original_correct, has_cue, known) -> dict:
+def _score_condition(backend, condition: _Asked, original_correct, has_cue, known) -> dict:
     """Score one condition; ``known`` is the kind's memo of ``_outcomes``."""
-    perturbed = [inst for inst, _ in condition.perturbed]
+    perturbed = condition.perturbed
     entry: dict = {
         "kind": condition.kind.lower(),
         "seed": condition.seed,

@@ -173,6 +173,20 @@ def test_file_backend_numeric_prediction_and_id_are_text(tmp_path):
     assert entries == {"7": "4"} and failures == {}
 
 
+def test_file_backend_prediction_keeps_the_spelling_of_its_number(tmp_path):
+    (tmp_path / "original.jsonl").write_text(
+        '{"instance_id": "eq-1", "prediction": 4.50}\n', encoding="utf-8"
+    )
+    entries, failures = FileBackend(tmp_path).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": "4.50"} and failures == {}
+
+
+def test_in_process_backends_have_nothing_in_flight(tmp_path):
+    for backend in (ReferenceBackend(FAITHFUL_ORACLE), FileBackend(tmp_path)):
+        assert backend.submit([LOOKUP, EXTREMAL]) is False
+        backend.close()
+
+
 @pytest.mark.parametrize("instance_id", [None, True, ["eq-1"]])
 def test_file_backend_id_that_is_not_text_cites_line(tmp_path, instance_id):
     # A null id must not name the instance whose id is "None".
@@ -289,6 +303,42 @@ def test_subprocess_backend_failure_is_not_memoized(tmp_path):
     entries, failures = backend.predictions_for(("TRANSPOSE", 0), [LOOKUP])
     assert failures == {} and entries == {"eq-1": LOOKUP.question}
     assert _calls(counter) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_subprocess_backend_takes_over_what_was_submitted(tmp_path, workers):
+    counter = tmp_path / "calls"
+    backend = SubprocessBackend(_counting_command(counter), workers=workers)
+    try:
+        assert backend.submit([LOOKUP, replace(LOOKUP, id="eq-2"), EXTREMAL]) is True
+        # In flight already: asking for it sends nothing more.
+        assert backend.submit([LOOKUP]) is True
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [EXTREMAL, LOOKUP])
+        assert entries == {"rq-1": EXTREMAL.question, "eq-1": LOOKUP.question}
+        assert failures == {} and _calls(counter) == 2
+        # Every payload is answered: nothing is sent or in flight.
+        assert backend.submit([LOOKUP, EXTREMAL]) is False
+        assert _calls(counter) == 2
+    finally:
+        backend.close()
+
+
+def test_subprocess_backend_submitted_failure_is_taken_once(tmp_path):
+    # The first call fails, every later one answers.  A failed attempt that
+    # was submitted ahead is the failure of the first call that takes it; the
+    # next call sends the payload again.
+    counter = tmp_path / "calls"
+    path = shlex.quote(str(counter))
+    backend = SubprocessBackend(f"echo call >> {path}; [ $(wc -l < {path}) -gt 1 ] && head -1")
+    try:
+        assert backend.submit([LOOKUP]) is True
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+        assert entries == {"eq-1": None} and set(failures) == {"eq-1"}
+        entries, failures = backend.predictions_for(("TRANSPOSE", 0), [LOOKUP])
+        assert failures == {} and entries == {"eq-1": LOOKUP.question}
+        assert _calls(counter) == 2
+    finally:
+        backend.close()
 
 
 # --- http backend -------------------------------------------------------------------

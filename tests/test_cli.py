@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -434,8 +435,8 @@ def test_bad_input_file_is_one_error_line(tmp_path, toy_path, capsys, name, faul
 
 # JSON that json.loads refuses with a plain ValueError (an integer past
 # Python's 4,300-digit int-to-string limit) or a RecursionError (nesting
-# too deep), not a JSONDecodeError.
-_UNREADABLE_JSON = {"huge integer": '{"id": ' + "1" * 5000 + "}\n",
+# too deep), not a JSONDecodeError.  The integer is on line 2.
+_UNREADABLE_JSON = {"huge integer": '\n{"id": ' + "1" * 5000 + "}\n",
                     "deep nesting": "[" * 100_000 + "\n"}
 
 
@@ -453,6 +454,12 @@ def test_unreadable_json_is_one_error_line(tmp_path, toy_path, capsys, name, fau
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(bad) in err
     assert not out.exists()
+    if fault == "huge integer":
+        # One data error that names the limit and the numeral's line, with
+        # no advice meant for a Python programmer.
+        assert f"{bad}:2: " in err
+        assert f"5000 digits is past the limit of {sys.get_int_max_str_digits()} digits" in err
+        assert "set_int_max_str_digits" not in err
 
 
 def test_flags_complete_a_config_file(tmp_path, toy_path, capsys):

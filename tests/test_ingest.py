@@ -170,6 +170,30 @@ def test_load_dataset_reads_numbers_as_cells_and_answers(tmp_path):
     assert inst.table.grid_values() == [["3", "2.5"]]
 
 
+def test_load_dataset_keeps_the_spelling_of_each_number(tmp_path):
+    # A fraction or exponent is text as the file spells it, never float's
+    # rendering: 1.50 is not 1.5, 1e3 is not 1000.0 and 1e400 is not inf.
+    spelled = ["1.50", "1e3", "1e400", "-0.0", "12345678901234567890.5", "2E-7"]
+    path = tmp_path / "numbers.jsonl"
+    path.write_text(
+        '{"id": 1.0, "question": "Which?", "answers": [%s],'
+        ' "table": {"headers": ["A", 2.5, "C"], "rows": [[%s], [%s]]}}\n'
+        % (spelled[0], ", ".join(spelled[:3]), ", ".join(spelled[3:])),
+        encoding="utf-8",
+    )
+    (inst,) = load_dataset(path)
+    assert (inst.id, inst.answers, inst.table.headers) == ("1.0", ("1.50",), ("A", "2.5", "C"))
+    assert inst.table.grid_values() == [spelled[:3], spelled[3:]]
+    assert all(type(text) is str for row in inst.table.grid_values() for text in row)
+    # Written back, each number is the text it was read as, and reads back so.
+    again = tmp_path / "again.jsonl"
+    save_dataset([inst], again)
+    assert load_dataset(again) == [inst]
+    assert json.loads(again.read_text(encoding="utf-8"))["table"]["rows"] == [
+        spelled[:3], spelled[3:]
+    ]
+
+
 _AGGREGATION = {"kind": "COUNT", "value_col": 0, "filter": {"col": 0, "value": "Kyoto"}}
 
 

@@ -1,6 +1,10 @@
 """Config parsing and the perturb-predict-score pipeline."""
 
 import hashlib
+import sys
+import threading
+import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -581,6 +585,16 @@ def test_pipeline_asks_a_reference_model_each_perturbed_instance_once_per_kind(
 
 
 def test_pipeline_asks_a_transport_again_after_a_failure(tmp_path, toy_instances):
+    _asks_a_transport_again_after_a_failure(tmp_path, toy_instances, workers=1)
+
+
+def test_pipeline_asks_a_transport_with_two_workers_again_after_a_failure(
+    tmp_path, toy_instances
+):
+    _asks_a_transport_again_after_a_failure(tmp_path, toy_instances, workers=2)
+
+
+def _asks_a_transport_again_after_a_failure(tmp_path, toy_instances, workers):
     # A subprocess model that fails the first time it sees an input and
     # answers from then on, counting its calls in one file per input.  A
     # transport's failure may be transient, so it is not reused: the next
@@ -600,7 +614,8 @@ def test_pipeline_asks_a_transport_again_after_a_failure(tmp_path, toy_instances
     )
     report = run_pipeline(
         RunConfig(
-            dataset=dataset, kinds=("TRANSPOSE",), seeds=(0, 1), backend=f"subprocess:{model}"
+            dataset=dataset, kinds=("TRANSPOSE",), seeds=(0, 1), backend=f"subprocess:{model}",
+            workers=workers,
         )
     )
     seed0, seed1 = report["conditions"]
@@ -611,6 +626,117 @@ def test_pipeline_asks_a_transport_again_after_a_failure(tmp_path, toy_instances
     # Each original was asked once, each transposed table once per seed.
     counts = sorted(len(f.read_text().splitlines()) for f in calls.iterdir())
     assert counts == [1, 1, 1, 2, 2, 2]
+
+
+def _fake_model(sent, lock):
+    """A subprocess model's ``_send`` that runs in-process with no socket
+    or child: it counts each payload it is sent and answers the last word
+    of the payload's table."""
+
+    def send(self, payload: bytes) -> str:
+        with lock:
+            sent[payload] += 1
+        return payload.split()[-1].decode("utf-8")
+
+    return send
+
+
+def test_pipeline_sends_each_payload_once_under_many_workers(tmp_path, toy_path, monkeypatch):
+    # More workers than cores and a thread switch every microsecond: a
+    # payload sent twice, or an answer lost or given to the wrong payload,
+    # would show in the counts or the report.
+    from freb.backends import SubprocessBackend
+
+    dataset = tmp_path / "some.jsonl"
+    lines = toy_path.read_text(encoding="utf-8").splitlines(True)
+    dataset.write_text("".join(lines[:40]), encoding="utf-8")
+    reports = {}
+    sends = {}
+    for workers in (1, 8):
+        sent: Counter = Counter()
+        monkeypatch.setattr(SubprocessBackend, "_send", _fake_model(sent, threading.Lock()))
+        config = RunConfig(dataset=dataset, kinds=KIND_GROUPS["all"], seeds=(0, 1),
+                           backend="subprocess:unused", workers=workers)
+        done = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if workers > 1 else interval)
+        try:
+            runner = threading.Thread(
+                target=lambda: done.append(report_to_json(run_pipeline(config))), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(done) == 1
+        reports[workers] = done[0]
+        sends[workers] = sent
+        assert set(sent.values()) == {1}
+    assert sends[8] == sends[1]
+    assert reports[8] == reports[1]
+
+
+@pytest.mark.parametrize("backend", ["subprocess:unused", "reference:faithful_oracle"])
+def test_pipeline_hands_a_transport_the_next_kind_before_scoring_this_one(
+    toy_path, monkeypatch, backend
+):
+    # A transport is handed the originals and the first kind before the
+    # originals are scored, and each later kind before the one before it.
+    # An in-process model has nothing in flight, so each batch is scored
+    # as soon as it is handed over.
+    from freb import backends
+
+    events = []
+    transport = backend.startswith("subprocess")
+    cls = backends.SubprocessBackend if transport else backends.ReferenceBackend
+    plain_submit, plain_predictions_for = cls.submit, cls.predictions_for
+
+    def submit(self, instances):
+        events.append("submit")
+        return plain_submit(self, instances)
+
+    def predictions_for(self, condition, instances):
+        events.append(f"{condition[0].lower()}.{condition[1]}")
+        return plain_predictions_for(self, condition, instances)
+
+    send = _fake_model(Counter(), threading.Lock())
+    monkeypatch.setattr(backends.SubprocessBackend, "_send", send)
+    monkeypatch.setattr(cls, "submit", submit)
+    monkeypatch.setattr(cls, "predictions_for", predictions_for)
+    run_pipeline(RunConfig(dataset=toy_path, kinds=("TRANSPOSE", "SHUFFLE_ROWS"), seeds=(0, 1),
+                           backend=backend))
+    asked = ["original.0", "transpose.0", "transpose.1", "shuffle_rows.0", "shuffle_rows.1"]
+    if transport:
+        assert events == ["submit", "submit", asked[0], "submit", *asked[1:]]
+    else:
+        assert events == ["submit", asked[0], "submit", *asked[1:3], "submit", *asked[3:]]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_pipeline_leaves_no_transport_thread_running(tmp_path, toy_path, monkeypatch, fails):
+    from freb.backends import SubprocessBackend
+
+    sent: Counter = Counter()
+    send = _fake_model(sent, threading.Lock())
+
+    def slow_send(self, payload):
+        time.sleep(0.001)
+        # A fault the transport does not catch ends the run mid-way, with
+        # the next kind's payloads in flight.
+        if fails and len(sent) == 300:
+            raise RuntimeError("model crashed")
+        return send(self, payload)
+
+    monkeypatch.setattr(SubprocessBackend, "_send", slow_send)
+    config = RunConfig(dataset=toy_path, kinds=KIND_GROUPS["structure"], seeds=(0, 1),
+                       backend="subprocess:unused", workers=4)
+    before = set(threading.enumerate())
+    if fails:
+        with pytest.raises(RuntimeError, match="model crashed"):
+            run_pipeline(config)
+    else:
+        run_pipeline(config)
+    assert set(threading.enumerate()) <= before
 
 
 @pytest.mark.parametrize("change", ["replaced", "removed"])
