@@ -15,9 +15,10 @@ table, positionally biased readers, and a constant-answer model.  A harness
 that cannot distinguish these has no business judging real systems.
 
 One reply rule: a prediction file's ``prediction`` and ``instance_id`` and
-an HTTP reply's answer or label must each be a JSON string or number,
-read as text by ``ingest._text``.  Any other prediction or reply is that
-instance's failure; any other ``instance_id`` is a data error.
+an HTTP reply's answer or label must each be a JSON string or number, read
+by ``ingest.decode_json`` and then as text by ``ingest._text``.  Any other
+prediction or reply is that instance's failure; any other ``instance_id``
+is a data error.  ``predictions_for`` is the one way to ask any backend.
 
 ``reuses`` is true only for the reference models, which are in-process and
 deterministic: a run may take an outcome they gave, answer or failure,
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 from .classify import ComparativeLexicon
 from .core import QAInstance
 from .errors import BackendError, ConfigError, DatasetError, FrebError
-from .ingest import _text, iter_records
+from .ingest import _excerpt, _text, decode_json, iter_records
 from .metrics import ORIGINAL
 from .perturb import evaluate_aggregation, locate_target
 from .serialize import serialize
@@ -220,26 +221,27 @@ class _Transport:
                 last_error = str(exc)
         return None, last_error
 
-    def _keyed(self, instances: Sequence[QAInstance]):
-        """(instance id, payload sha256, payload) for each instance."""
+    def _keyed(self, instances: Sequence[QAInstance]) -> dict[int, tuple[str, bytes]]:
+        """(payload sha256, payload) by id() of each distinct instance object;
+        ``instances`` holds the objects, so no id is reused while it is read."""
+        keyed = {}
         for inst in instances:
-            payload = self._payload(inst)
-            yield inst.id, hashlib.sha256(payload).hexdigest(), payload
+            if id(inst) not in keyed:
+                payload = self._payload(inst)
+                keyed[id(inst)] = hashlib.sha256(payload).hexdigest(), payload
+        return keyed
 
-    def submit(self, instances: Sequence[QAInstance]) -> bool:
-        """Start sending each payload that has no answer and is not in
-        flight, without waiting; whether any attempt is now in flight."""
-        for _, key, payload in self._keyed(instances):
+    def _start(self, keyed: dict[int, tuple[str, bytes]]) -> None:
+        """Start an attempt for each payload that has no answer and is not in flight."""
+        for key, payload in keyed.values():
             if key not in self._answers and key not in self._in_flight:
                 self._in_flight[key] = self._pool.submit(self._attempt, payload)
-        return bool(self._in_flight)
 
-    def ask(self, instance: QAInstance) -> str:
-        """The answer for one instance; BackendError if every attempt failed."""
-        entries, failures = self.predictions_for((ORIGINAL, 0), [instance])
-        if instance.id in failures:
-            raise BackendError(failures[instance.id])
-        return entries[instance.id]
+    def submit(self, instances: Sequence[QAInstance]) -> bool:
+        """Start sending the instances' payloads without waiting; whether
+        any attempt is now in flight."""
+        self._start(self._keyed(instances))
+        return bool(self._in_flight)
 
     def predictions_for(
         self, condition: tuple[str, int], instances: Sequence[QAInstance]
@@ -252,28 +254,23 @@ class _Transport:
         Every instance whose attempt failed gets that failure; its payload
         is sent again by the next call that asks for it.
         """
-        keyed = list(self._keyed(instances))
-        attempts: dict[str, Future] = {}
-        for _, key, payload in keyed:
-            if key not in self._answers and key not in attempts:
-                attempts[key] = self._in_flight.pop(key, None) or self._pool.submit(
-                    self._attempt, payload
-                )
+        keyed = self._keyed(instances)
+        self._start(keyed)
         errors: dict[str, str] = {}
-        for key, attempt in attempts.items():
-            answer, error = attempt.result()
-            if error is None:
-                self._answers[key] = answer
-            else:
-                errors[key] = error
+        for key, _ in keyed.values():
+            if key in self._in_flight:
+                answer, error = self._in_flight.pop(key).result()
+                if error is None:
+                    self._answers[key] = answer
+                else:
+                    errors[key] = error
         entries: dict[str, str | None] = {}
         failures: dict[str, str] = {}
-        for iid, key, _ in keyed:
+        for inst in instances:
+            key = keyed[id(inst)][0]
+            entries[inst.id] = self._answers.get(key)  # None if its attempt failed
             if key in errors:
-                entries[iid] = None
-                failures[iid] = errors[key]
-            else:
-                entries[iid] = self._answers[key]
+                failures[inst.id] = errors[key]
         return entries, failures
 
 
@@ -339,16 +336,17 @@ class HttpBackend(_Transport):
         request = urllib.request.Request(self.url, data=body, headers=headers)
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                reply = json.loads(response.read().decode("utf-8"))
+                body = response.read()
         except http.client.HTTPException as exc:
             raise BackendError(str(exc)) from exc
-        return _answer_of(reply, self.reply_key)
+        return _answer_of(body, self.reply_key)
 
 
-def _answer_of(reply, key: str) -> str:
-    """The ``key`` entry of an HTTP endpoint's decoded reply; ValueError if there is none."""
+def _answer_of(body: bytes, key: str) -> str:
+    """The ``key`` entry of an HTTP endpoint's reply; ValueError if there is none."""
+    reply = decode_json(body.decode("utf-8"))
     if not isinstance(reply, dict):
-        raise ValueError(f"reply is not a JSON object: {json.dumps(reply)[:200]}")
+        raise ValueError(f"reply is not a JSON object: {_excerpt(reply)}")
     if key not in reply:
         raise ValueError(f'reply has no "{key}" key')
     return _text(reply[key], f'"{key}"')
@@ -379,8 +377,19 @@ def parse_backend(
     if scheme == "subprocess":
         return SubprocessBackend(rest, timeout=timeout, retries=retries, workers=workers)
     if scheme in ("http", "https"):
-        # "http://host/path" is the URL itself; "http:host/path" names one.
+        from urllib.parse import urlsplit
+
+        # "http://host/path" is the URL itself; "http:<url>" names one.
         url = spec.strip() if rest.startswith("//") else rest
+        try:
+            parts = urlsplit(url)
+            # Port 0 cannot be asked; .port is a ValueError for a port that
+            # is not a number up to 65535, as is an unclosed "[" of a host.
+            host = parts.hostname if parts.port != 0 else None
+        except ValueError:
+            host = None
+        if not (host and url.lower().startswith(("http://", "https://"))):
+            raise ConfigError(f"backend spec {spec!r}: {url!r} is not an http(s)://<host> URL")
         return HttpBackend(
             url, timeout=timeout, retries=retries, workers=workers, reply_key=reply_key
         )

@@ -5,18 +5,20 @@ cell can only come from reasoning (RQ); otherwise a comparative or
 superlative cue in the question still marks it RQ; everything else is EQ.
 Comparative cues come from an explicit lexicon plus morphological suffix
 rules with an exception list, replacing POS tagging.  The combined strategy
-defers borderline EQ calls to a secondary classifier, any callable from an
-instance to "EQ" or "RQ"; ``freb classify --secondary <spec>`` builds it
-with ``backends.parse_backend`` from a subprocess: or http(s): spec.
+defers borderline EQ calls to a secondary classifier, a backend whose answer
+is "EQ" or "RQ", asked about all of a run's rule-based EQ instances in one
+batch; ``freb classify --secondary <spec>`` builds it with
+``backends.parse_backend`` from a subprocess: or http(s): spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EQ, RQ, QAInstance, answer_keys
-from .errors import BackendError, DatasetError
+from .core import EQ, RQ, UNKNOWN, QAInstance, answer_keys
+from .errors import DatasetError
 from .ingest import read_json, tokenize
+from .metrics import ORIGINAL
 
 DEFAULT_EXPLICIT_WORDS = frozenset(
     {
@@ -136,16 +138,23 @@ def classify_rule_based(
     return EQ
 
 
-def classify_combined(instance: QAInstance, lexicon, secondary) -> str:
-    """Rule-based RQ is final; rule-based EQ must be seconded to stay EQ.
+def classify_combined(instances, lexicon: ComparativeLexicon, secondary) -> list[tuple]:
+    """(label, reason) for each instance, the reason None unless the label is UNKNOWN.
 
-    ``secondary(instance)`` returns "EQ" or "RQ".  A secondary failure, or
-    any other label, raises BackendError; callers mark the instance UNKNOWN.
+    Rule-based RQ is final.  Every rule-based EQ instance goes to ``secondary``
+    in one ``predictions_for`` call and takes the label it answers, which must
+    be "EQ" or "RQ"; a failure, or any other label, makes it UNKNOWN.
     """
-    if classify_rule_based(instance, lexicon) == RQ:
-        return RQ
-    label = secondary(instance)
-    if label not in (EQ, RQ):
-        raise BackendError(f"secondary classifier returned {label!r}, expected EQ/RQ")
-    return label
-
+    labels = [classify_rule_based(inst, lexicon) for inst in instances]
+    answers, failures = secondary.predictions_for(
+        (ORIGINAL, 0), [inst for inst, label in zip(instances, labels) if label == EQ]
+    )
+    labeled = []
+    for inst, label in zip(instances, labels):
+        reason = failures.get(inst.id)
+        if label == EQ and reason is None:
+            label = answers[inst.id]
+            if label not in (EQ, RQ):
+                reason = f"secondary classifier returned {label!r}, expected EQ/RQ"
+        labeled.append((label, None) if reason is None else (UNKNOWN, reason))
+    return labeled

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .backends import HttpBackend, SubprocessBackend, parse_backend
 from .classify import ComparativeLexicon, classify_combined, classify_rule_based
 from .core import EQ, RQ, UNKNOWN
-from .errors import BackendError, ConfigError, DatasetError
+from .errors import ConfigError, DatasetError
 from .ingest import (
     PositionalWordList,
     check_output_dir,
@@ -146,26 +147,21 @@ def _cmd_classify(args) -> int:
         )
         instances, dropped = filter_positional_questions(instances, words)
 
+    if secondary is None:
+        labeled = [(classify_rule_based(inst, lexicon), None) for inst in instances]
+    else:
+        with closing(secondary):
+            labeled = classify_combined(instances, lexicon, secondary)
     counts = {EQ: 0, RQ: 0, UNKNOWN: 0}
     records = []
-    try:
-        for inst in instances:
-            if secondary is not None:
-                try:
-                    label = classify_combined(inst, lexicon, secondary.ask)
-                except BackendError as exc:
-                    label = UNKNOWN
-                    reason = " ".join(str(exc).split())  # one line, whatever the secondary wrote
-                    print(f"{inst.id}: {reason}", file=sys.stderr)
-            else:
-                label = classify_rule_based(inst, lexicon)
-            counts[label] += 1
-            record = instance_to_record(inst)
-            record["question_type"] = label
-            records.append(record)
-    finally:
-        if secondary is not None:
-            secondary.close()
+    for inst, (label, reason) in zip(instances, labeled):
+        if reason is not None:
+            # One line, whatever the secondary wrote.
+            print(f"{inst.id}: {' '.join(reason.split())}", file=sys.stderr)
+        counts[label] += 1
+        record = instance_to_record(inst)
+        record["question_type"] = label
+        records.append(record)
     write_records(records, args.out)
     print(
         f"{args.out}: {counts[EQ]} EQ, {counts[RQ]} RQ, {counts[UNKNOWN]} unknown"

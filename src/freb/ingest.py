@@ -162,7 +162,10 @@ def _json_text(value) -> str:
 
 
 def _excerpt(value) -> str:
-    return _json_text(value)[:60]
+    try:
+        return _json_text(value)[:60]
+    except RecursionError:  # nested deep, though not too deep to decode
+        return "a value nested too deep to show"
 
 
 _JSON_TYPES = {list: "a JSON array", dict: "a JSON object", int: "an integer"}
@@ -291,22 +294,37 @@ def read_json(path, what: str):
 _RECORD_DECODER = json.JSONDecoder(parse_float=JsonFloat)
 
 
+def decode_json(text: str):
+    """The JSON value in ``text``, a number with a fraction or exponent as the
+    JsonFloat of its spelling; ValueError if it is not JSON, nests too deep,
+    holds an integer too long to convert or a lone surrogate."""
+    try:
+        value = _RECORD_DECODER.decode(text)
+        # A \u escape may leave a lone surrogate; memchr for "\\" spares most lines.
+        if "\\" in text and ("\\ud" in text or "\\uD" in text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
+    except json.JSONDecodeError:
+        raise
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+    except UnicodeEncodeError:
+        raise ValueError("a \\u escape gives a lone surrogate, which is not UTF-8") from None
+    except ValueError:
+        raise ValueError(_long_integer(text)[1]) from None
+
+
 def iter_records(path, what: str = "dataset file", digest=None):
     """(file line number, JSON object) for each non-blank line of a JSONL
-    file; ``digest`` is as for ``read_lines``.  A number with a fraction or
-    exponent is read as the JsonFloat of its spelling."""
+    file, as ``decode_json`` reads it; ``digest`` is as for ``read_lines``."""
     for line_no, line in read_lines(path, what, digest=digest):
         line = line.strip()
         if not line:
             continue
         try:
-            record = _RECORD_DECODER.decode(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            record = decode_json(line)
+        except ValueError as exc:
             raise DatasetError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-        except ValueError:
-            raise DatasetError(
-                f"{path}:{line_no}: invalid JSON: {_long_integer(line)[1]}"
-            ) from None
         if not isinstance(record, dict):
             raise DatasetError(f"{path}:{line_no}: record is not an object")
         yield line_no, record

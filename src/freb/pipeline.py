@@ -171,11 +171,10 @@ def parse_config_file(path: str | Path) -> RunConfig:
 
 def run_pipeline(config: RunConfig) -> dict:
     """Evaluate the configured backend under every (kind, seed) condition."""
-    digest = hashlib.sha256()
-    instances = load_dataset(config.dataset, digest)
     lexicon = (
         ComparativeLexicon.from_file(config.lexicon) if config.lexicon else ComparativeLexicon()
     )
+    # A bad backend spec is a config error before the dataset is read.
     backend = parse_backend(
         config.backend,
         lexicon=lexicon,
@@ -185,6 +184,8 @@ def run_pipeline(config: RunConfig) -> dict:
     )
 
     with closing(backend):
+        digest = hashlib.sha256()
+        instances = load_dataset(config.dataset, digest)
         if config.max_tokens is not None:
             kept, dropped = length_filter(instances, config.max_tokens)
         else:

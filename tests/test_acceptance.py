@@ -413,15 +413,22 @@ def test_p10_rule_labels_and_secondary_monotonicity():
     ]
     assert mismatches == []
 
-    def always_eq(instance):
-        return EQ
+    class Always:
+        """A fake secondary that answers ``label`` for every instance."""
 
-    def always_rq(instance):
-        return RQ
+        def __init__(self, label):
+            self.label = label
 
-    for inst, (_, _, expected) in zip(instances, P10_CASES):
-        under_eq = classify_combined(inst, lexicon, always_eq)
-        under_rq = classify_combined(inst, lexicon, always_rq)
+        def predictions_for(self, condition, batch):
+            return {inst.id: self.label for inst in batch}, {}
+
+    always_eq, always_rq = Always(EQ), Always(RQ)
+    labels_eq = [label for label, _ in classify_combined(instances, lexicon, always_eq)]
+    labels_rq = [label for label, _ in classify_combined(instances, lexicon, always_rq)]
+
+    for inst, (_, _, expected), under_eq, under_rq in zip(
+        instances, P10_CASES, labels_eq, labels_rq, strict=True
+    ):
         if expected == RQ:
             # rule-based RQ is final: no secondary opinion can soften it
             assert under_eq == RQ and under_rq == RQ, inst.question
@@ -433,6 +440,8 @@ def test_p10_rule_labels_and_secondary_monotonicity():
     rule_rq = {i.id for i in instances if classify_rule_based(i, lexicon) == RQ}
     for stub in (always_eq, always_rq):
         combined_rq = {
-            i.id for i in instances if classify_combined(i, lexicon, stub) == RQ
+            i.id
+            for i, (label, _) in zip(instances, classify_combined(instances, lexicon, stub))
+            if label == RQ
         }
         assert combined_rq >= rule_rq

@@ -1,14 +1,19 @@
 """Reference models and the file/subprocess/HTTP prediction backends."""
 
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freb.backends import (
     FAITHFUL_ORACLE,
@@ -23,6 +28,7 @@ from freb.backends import (
     parse_backend,
     run_reference_model,
 )
+from freb.cli import main
 from freb.core import ARGMAX, EQ, RQ, AggregationDescriptor, QAInstance, Table
 from freb.errors import BackendError, ConfigError, DatasetError, PerturbSkip
 from freb.ingest import save_dataset
@@ -391,6 +397,11 @@ def test_http_backend_unreachable_records_failure():
         ('{"answer": {"x": 1}}', "must be a string or number, not {"),
         ('{"label": "x"}', 'no "answer"'),
         ("not json", "Expecting value"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+        ('{"answer": ' + "1" * 5000 + "}", "an integer of 5000 digits is past the limit"),
+        # A failure must be writable as UTF-8, and a lone surrogate is not.
+        ('{"answer": "\\ud800"}', "lone surrogate"),
+        ('{"answer": ' + '{"a": ' * 600 + "1" + "}" * 601, "nested too deep to show"),
     ],
 )
 def test_http_backend_hostile_reply_is_a_failure(loopback, reply, message):
@@ -404,6 +415,60 @@ def test_http_backend_numeric_answer_is_text(loopback):
     loopback.replies = ['{"answer": 4}']
     entries, failures = HttpBackend(loopback.url).predictions_for((ORIGINAL, 0), [LOOKUP])
     assert entries == {"eq-1": "4"} and failures == {}
+
+
+@pytest.mark.parametrize("numeral", ["1.50", "1e3", "1e400", "12345678901234567890.5"])
+def test_http_backend_numeric_answer_keeps_its_spelling(loopback, numeral):
+    loopback.replies = [f'{{"answer": {numeral}}}']
+    entries, failures = HttpBackend(loopback.url).predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": numeral} and failures == {}
+
+
+# Replies to mutate: well-formed, hostile, deep and long.
+_REPLIES = [
+    b'{"answer": "4"}',
+    b'{"answer": 1.50}',
+    b'{"answer": -12e-3}',
+    b'{"answer": ["x", {"y": null}]}',
+    b'{"label": "EQ", "answer": "\\u00e9"}',
+    b"[" * 3000 + b"]" * 3000,
+    b'{"answer": ' + b'{"a": ' * 600 + b"1" + b"}" * 601,
+    b'{"answer": ' + b"9" * 4400 + b"}",
+    b'["\\ud800", {"answer": "\\udc00"}]',
+]
+
+
+@st.composite
+def _mutated_replies(draw):
+    body = bytearray(draw(st.sampled_from(_REPLIES)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(body)))
+        byte = draw(st.sampled_from(b'{}[]":,.-+eE019 \\nul\xff\x00') | st.integers(0, 255))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            body.insert(at, byte)
+        elif at < len(body):
+            if edit == "replace":
+                body[at] = byte
+            else:
+                del body[at]
+    return bytes(body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_replies())
+def test_http_backend_any_reply_is_an_answer_or_a_failure(body):
+    # urlopen is stubbed in-process, so no socket is opened.
+    def urlopen(request, timeout):
+        return io.BytesIO(body)
+
+    with patch("urllib.request.urlopen", urlopen), closing(HttpBackend("http://model/")) as backend:
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+    if "eq-1" in failures:
+        assert entries == {"eq-1": None}
+        failures["eq-1"].encode("utf-8")  # a failure is written to the report
+    else:
+        assert type(entries["eq-1"]) is str and failures == {}
 
 
 def test_http_backend_hostile_reply_does_not_abort_the_batch(loopback):
@@ -479,6 +544,38 @@ def test_run_pipeline_over_http_asks_each_distinct_input_once(loopback, tmp_path
     assert sent == inputs
 
 
+def test_evaluate_lists_a_too_deep_or_too_long_reply_as_a_failure(loopback, tmp_path):
+    dataset = tmp_path / "toy.jsonl"
+    save_dataset(build_toy_dataset()[:2], dataset)
+    loopback.replies = ["[" * 100_000 + "]" * 100_000, '{"answer": ' + "1" * 5000 + "}"]
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--dataset", str(dataset), "--kinds", "transpose", "--seeds", "0"]
+    assert main([*argv, "--backend", loopback.url, "--out", str(out)]) == 0
+    failures = sorted(json.loads(out.read_text(encoding="utf-8"))["original"]["failures"].values())
+    assert len(failures) == 2
+    assert "past the limit of" in failures[0] and "maximum recursion depth" in failures[1]
+
+
+def test_submit_keys_each_instance_object_once(monkeypatch):
+    payloads = []
+    plain = SubprocessBackend._payload
+
+    def counted(self, inst):
+        payloads.append(inst.id)
+        return plain(self, inst)
+
+    monkeypatch.setattr(SubprocessBackend, "_payload", counted)
+    monkeypatch.setattr(SubprocessBackend, "_send", lambda self, payload: "x")
+    twin = replace(LOOKUP, id="eq-2")  # equal, but another object: keyed too
+    with closing(SubprocessBackend("unused")) as backend:
+        assert backend.submit([LOOKUP, EXTREMAL, LOOKUP, twin, LOOKUP]) is True
+        assert payloads == ["eq-1", "rq-1", "eq-2"]
+        payloads.clear()
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [EXTREMAL, LOOKUP, EXTREMAL])
+        assert entries == {"rq-1": "x", "eq-1": "x"} and failures == {}
+        assert payloads == ["rq-1", "eq-1"]
+
+
 # --- spec parsing ----------------------------------------------------------------------
 
 
@@ -510,6 +607,7 @@ def test_parse_backend_http_keeps_full_url():
     assert backend.url == "http://host:8080/v1/answer"
     backend = parse_backend("https://host/answer")
     assert backend.url == "https://host/answer"
+    assert parse_backend("http:http://[::1]:8080/answer").url == "http://[::1]:8080/answer"
 
 
 def test_parse_backend_rejects_garbage():
@@ -517,6 +615,18 @@ def test_parse_backend_rejects_garbage():
         parse_backend("carrier_pigeon:coop")
     with pytest.raises(ConfigError, match="missing a target"):
         parse_backend("file:")
+    for spec in (
+        "http:localhost:9/x",
+        "http:///predict",
+        "https:ftp://host/x",
+        "http://:80/predict",
+        "http://[::1/predict",
+        "http://host:abc/predict",
+        "http://host:99999/predict",
+        "http://host:0/predict",
+    ):
+        with pytest.raises(ConfigError, match=r"is not an http\(s\)://<host> URL"):
+            parse_backend(spec)
 
 
 def test_importing_freb_loads_no_transport_module():

@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from freb import classify
 from freb.backends import HTTP_TOKEN_ENV, SubprocessBackend
 from freb.classify import ComparativeLexicon, classify_combined, classify_rule_based
-from freb.core import EQ, RQ, QAInstance, Table
+from freb.core import EQ, RQ, UNKNOWN, QAInstance, Table
 from freb.cli import main
 from freb.errors import BackendError, DatasetError
 from freb.ingest import read_records, save_dataset
@@ -109,53 +110,70 @@ def test_malformed_lexicon_file_is_a_data_error(tmp_path, text):
         ComparativeLexicon.from_file(path)
 
 
+class _Secondary:
+    """A fake secondary that gives each instance it is asked about ``label``
+    and records the questions asked."""
+
+    def __init__(self, label):
+        self.label = label
+        self.asked = []
+
+    def predictions_for(self, condition, instances):
+        self.asked += [inst.question for inst in instances]
+        return {inst.id: self.label for inst in instances}, {}
+
+
+def _combined(inst, secondary):
+    """``classify_combined`` of one instance: its label, or BackendError
+    with the reason when the label is UNKNOWN."""
+    [(label, reason)] = classify_combined([inst], LEXICON, secondary)
+    if label == UNKNOWN:
+        raise BackendError(reason)
+    return label
+
+
 def test_combined_rule_rq_is_final():
-    calls = []
-
-    def secondary(instance):
-        calls.append(instance.question)
-        return EQ
-
-    label = classify_combined(_inst("Who scored the most?", ["Ayola"]), LEXICON, secondary)
+    secondary = _Secondary(EQ)
+    label = _combined(_inst("Who scored the most?", ["Ayola"]), secondary)
     assert label == RQ
-    assert calls == []  # secondary never consulted
+    assert secondary.asked == []  # secondary never consulted
 
 
 def test_combined_eq_needs_secondary_agreement():
     inst = _inst("What did Cusk score?", ["19"])
-    assert classify_combined(inst, LEXICON, lambda *a: EQ) == EQ
-    assert classify_combined(inst, LEXICON, lambda *a: RQ) == RQ
+    assert _combined(inst, _Secondary(EQ)) == EQ
+    assert _combined(inst, _Secondary(RQ)) == RQ
 
 
 def test_combined_rejects_garbage_label():
     inst = _inst("What did Cusk score?", ["19"])
     with pytest.raises(BackendError, match="expected EQ/RQ"):
-        classify_combined(inst, LEXICON, lambda *a: "maybe")
+        _combined(inst, _Secondary("maybe"))
 
 
 def test_combined_never_downgrades_rule_rq():
     # Monotonicity: whatever the secondary says, a rule-based RQ stays RQ.
     inst = _inst("What is the combined score?", ["74"])
-    for stub in (lambda *a: EQ, lambda *a: RQ):
-        assert classify_combined(inst, LEXICON, stub) == RQ
+    for stub in (_Secondary(EQ), _Secondary(RQ)):
+        assert _combined(inst, stub) == RQ
 
 
 def test_subprocess_secondary_round_trip():
-    secondary = SubprocessBackend("head -1 >/dev/null; echo EQ").ask
+    secondary = SubprocessBackend("head -1 >/dev/null; echo EQ")
     inst = _inst("What did Cusk score?", ["19"])
-    assert classify_combined(inst, LEXICON, secondary) == EQ
+    assert _combined(inst, secondary) == EQ
 
 
 def test_subprocess_secondary_sees_question_and_table():
     # The command echoes line 1 back; feeding a cue-free question whose
     # text is literally "EQ" proves the payload plumbing.
-    assert SubprocessBackend("head -1").ask(_inst("EQ", ["x"])) == "EQ"
+    assert _combined(_inst("EQ", ["31"]), SubprocessBackend("head -1")) == "EQ"
 
 
 def test_subprocess_secondary_failure_raises():
     backend = SubprocessBackend("exit 3", retries=1)
     with pytest.raises(BackendError, match="exit code 3"):
-        backend.ask(_inst("q", ["x"]))
+        _combined(_inst("q", ["31"]), backend)
 
 
 # --- classify --secondary through the CLI ------------------------------------------
@@ -226,6 +244,31 @@ def test_cli_secondary_asked_once_per_distinct_input(tmp_path):
 def test_cli_secondary_label_is_its_first_line(tmp_path):
     command = "cat >/dev/null; printf 'EQ\\nbecause Brant is named in the question\\n'"
     assert _classify(tmp_path, [BRANT], f"subprocess:{command}") == [EQ]
+
+
+def test_cli_secondary_is_asked_in_one_batch(tmp_path, monkeypatch):
+    batches, ruled = [], []
+    ask, rule = SubprocessBackend.predictions_for, classify.classify_rule_based
+
+    def counted_ask(self, condition, instances):
+        batches.append([inst.id for inst in instances])
+        return ask(self, condition, instances)
+
+    def counted_rule(instance, lexicon):
+        ruled.append(instance.id)
+        return rule(instance, lexicon)
+
+    monkeypatch.setattr(SubprocessBackend, "predictions_for", counted_ask)
+    monkeypatch.setattr(classify, "classify_rule_based", counted_rule)
+    instances = [
+        BRANT,
+        replace(BRANT, id="c2", question="Who scored the most?", answers=("Ayola",)),
+        replace(BRANT, id="c3", question="What did Cusk score?", answers=("19",)),
+    ]
+    command = "subprocess:cat >/dev/null; echo EQ"
+    assert _classify(tmp_path, instances, command) == [EQ, RQ, EQ]
+    assert batches == [["c1", "c3"]]  # one call, with every rule-based EQ instance
+    assert ruled == ["c1", "c2", "c3"]
 
 
 @pytest.mark.parametrize("reply", ["not json", '["EQ"]', "{}", '{"label": null}'])

@@ -316,6 +316,12 @@ def test_exit_code_config_errors(tmp_path, toy_path, capsys):
     assert main(["evaluate", "--kinds", "transpose"]) == 1
     # missing config file
     assert main(["evaluate", "--config", str(tmp_path / "nope.cfg")]) == 1
+    # a backend that is not an http(s)://<host> URL, before the dataset is read
+    missing = str(tmp_path / "missing.jsonl")
+    evaluate = ["evaluate", "--dataset", missing, "--kinds", "transpose"]
+    assert main([*evaluate, "--backend", "http:localhost:9/x"]) == 1
+    out = str(tmp_path / "labeled.jsonl")
+    assert main(["classify", "--in", missing, "--out", out, "--secondary", "http:localhost:9/x"]) == 1
     # argparse usage errors are config errors too, not exit 2
     assert main(["perturb", "--in", "x"]) == 1
     assert main(["no-such-command"]) == 1
@@ -460,6 +466,22 @@ def test_unreadable_json_is_one_error_line(tmp_path, toy_path, capsys, name, fau
         assert f"{bad}:2: " in err
         assert f"5000 digits is past the limit of {sys.get_int_max_str_digits()} digits" in err
         assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("name", ["evaluate --dataset", "perturb --in", "classify --in",
+                                  "file: predictions"])
+def test_lone_surrogate_in_json_lines_is_one_error_line(tmp_path, toy_path, capsys, name):
+    # UTF-8 cannot hold the text a "\ud800" escape stands for, so no output could be written.
+    bad = tmp_path / "in" / "original.jsonl"
+    bad.parent.mkdir()
+    bad.write_text('\n{"id": "a\\ud800", "instance_id": "a\\ud800"}\n', encoding="utf-8")
+    code, argv = _INPUTS[name]
+    out = tmp_path / "out"
+    assert main(argv(str(bad), str(toy_path), str(out))) == code
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert f"{bad}:2: " in err and "lone surrogate" in err
+    assert not out.exists()
 
 
 def test_flags_complete_a_config_file(tmp_path, toy_path, capsys):

@@ -21,6 +21,7 @@ from freb.core import (
 from freb.errors import DatasetError
 from freb.ingest import (
     PositionalWordList,
+    decode_json,
     filter_positional_questions,
     instance_from_record,
     instance_to_record,
@@ -111,6 +112,13 @@ def test_read_records_cites_bad_line(tmp_path):
     path.write_text('{"id": "a"}\nnot json\n', encoding="utf-8")
     with pytest.raises(DatasetError, match="broken.jsonl:2"):
         read_records(path)
+
+
+def test_decode_json_refuses_a_lone_surrogate_only():
+    assert decode_json('["\\ud83d\\ude00", "\\u00e9"]') == ["\U0001F600", "\u00e9"]
+    for text in ('["\\ud800"]', '{"\\uDC00": 1}', '["\\ude00\\ud83d"]'):
+        with pytest.raises(ValueError, match="lone surrogate"):
+            decode_json(text)
 
 
 def test_read_records_skips_blank_lines(tmp_path):
