@@ -204,12 +204,17 @@ class _Transport:
         self._answers: dict[str, str] = {}
         # sha256 of a payload -> the Future of its one attempt in flight.
         self._in_flight: dict[str, Future] = {}
+        # id() of each instance ``submit`` keyed -> (the instance, its key),
+        # until ``predictions_for`` first takes it; holding the instance
+        # keeps its id from reuse.
+        self._handed: dict[int, tuple[QAInstance, tuple[str, bytes]]] = {}
         self._pool = ThreadPoolExecutor(max_workers=workers)
 
     def close(self) -> None:
         """Stop the worker threads; attempts not yet started are dropped."""
         self._pool.shutdown(cancel_futures=True)
         self._in_flight.clear()
+        self._handed.clear()
 
     def _attempt(self, payload: bytes) -> tuple[str | None, str | None]:
         """(answer, None) from the first attempt that succeeds, else (None, last error)."""
@@ -223,12 +228,17 @@ class _Transport:
 
     def _keyed(self, instances: Sequence[QAInstance]) -> dict[int, tuple[str, bytes]]:
         """(payload sha256, payload) by id() of each distinct instance object;
-        ``instances`` holds the objects, so no id is reused while it is read."""
+        ``instances`` holds the objects, so no id is reused while it is read.
+        An instance ``submit`` keyed is not keyed again."""
         keyed = {}
         for inst in instances:
             if id(inst) not in keyed:
-                payload = self._payload(inst)
-                keyed[id(inst)] = hashlib.sha256(payload).hexdigest(), payload
+                handed = self._handed.get(id(inst))
+                if handed is None:
+                    payload = self._payload(inst)
+                    keyed[id(inst)] = hashlib.sha256(payload).hexdigest(), payload
+                else:
+                    keyed[id(inst)] = handed[1]
         return keyed
 
     def _start(self, keyed: dict[int, tuple[str, bytes]]) -> None:
@@ -240,7 +250,10 @@ class _Transport:
     def submit(self, instances: Sequence[QAInstance]) -> bool:
         """Start sending the instances' payloads without waiting; whether
         any attempt is now in flight."""
-        self._start(self._keyed(instances))
+        keyed = self._keyed(instances)
+        for inst in instances:
+            self._handed[id(inst)] = inst, keyed[id(inst)]
+        self._start(keyed)
         return bool(self._in_flight)
 
     def predictions_for(
@@ -255,6 +268,8 @@ class _Transport:
         is sent again by the next call that asks for it.
         """
         keyed = self._keyed(instances)
+        for inst in instances:
+            self._handed.pop(id(inst), None)
         self._start(keyed)
         errors: dict[str, str] = {}
         for key, _ in keyed.values():

@@ -109,6 +109,9 @@ class ComparativeLexicon:
             # A string would otherwise be read as a list of its letters.
             if not (isinstance(explicit, list) and isinstance(exceptions, list)):
                 raise TypeError("explicit_words and exceptions must be lists")
+            # A number, even one read as the text of its spelling, is no word.
+            if not all(type(word) is str for word in explicit + exceptions):
+                raise TypeError("explicit_words and exceptions must hold strings")
             return ComparativeLexicon(
                 explicit_words=frozenset(w.lower() for w in explicit),
                 exceptions=frozenset(w.lower() for w in exceptions),

@@ -7,6 +7,8 @@ no part in equality, hashing or repr.  That is what lets one Cell stand for
 every position holding its text: a CellPool, kept for one dataset load,
 builds each distinct text's cell once and hands it to every table in the
 file, so each text is parsed and normalized at most once per load.
+``normalize_answer`` is pure and remembers its last 65,536 distinct texts,
+so an answer or gold text normalized again, by any caller, is looked up.
 Tables are flat rectangular grids of text cells with a single header row;
 blank cells are empty strings, never None.  Dates are plain text; only
 decimal numbers get a parsed representation.
@@ -85,6 +87,7 @@ def canonical_decimal(value: Decimal) -> str:
     return format(value, "f")
 
 
+@lru_cache(maxsize=1 << 16)
 def normalize_answer(raw: str) -> str:
     """Canonical form used for every exact-match comparison in the toolkit.
 

@@ -264,30 +264,34 @@ def read_lines(path, what: str, error: type[FrebError] = DatasetError, digest=No
 _JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?'
 
 
-def _long_integer(text: str) -> tuple[int, str]:
-    """The line of the integer in the JSON ``text`` that json.loads refused
-    with a plain ValueError, for having more digits than Python converts
-    (``sys.get_int_max_str_digits``), and words saying so."""
-    limit = sys.get_int_max_str_digits()
-    digits, start = next(
-        (token[1], token.start())
-        for token in re.finditer(_JSON_TOKEN, text)
-        if token[1] and token[2] is None and token[3] is None and len(token[1]) > limit
-    )
-    line = text.count("\n", 0, start) + 1
-    return line, f"an integer of {len(digits)} digits is past the limit of {limit} digits"
+class _LongInteger(ValueError):
+    """The JSON ``text`` holds an integer json.loads refused with a plain
+    ValueError, for having more digits than Python converts
+    (``sys.get_int_max_str_digits``); ``line`` is the numeral's line."""
+
+    def __init__(self, text: str):
+        limit = sys.get_int_max_str_digits()
+        digits, start = next(
+            (token[1], token.start())
+            for token in re.finditer(_JSON_TOKEN, text)
+            if token[1] and token[2] is None and token[3] is None and len(token[1]) > limit
+        )
+        self.line = text.count("\n", 0, start) + 1
+        super().__init__(
+            f"an integer of {len(digits)} digits is past the limit of {limit} digits"
+        )
 
 
 def read_json(path, what: str):
-    """The one JSON document in the file ``path``; DatasetError if unreadable."""
+    """The one JSON document in the file ``path``, as ``decode_json`` reads
+    it; DatasetError if unreadable."""
     text = "".join(line for _, line in read_lines(path, what))
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return decode_json(text)
+    except _LongInteger as exc:
+        raise DatasetError(f"{path}:{exc.line}: not valid JSON: {exc}") from None
+    except ValueError as exc:
         raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
-    except ValueError:
-        line, words = _long_integer(text)
-        raise DatasetError(f"{path}:{line}: not valid JSON: {words}") from None
 
 
 # One decoder for every record: json.loads with an option builds a new one per call.
@@ -311,7 +315,7 @@ def decode_json(text: str):
     except UnicodeEncodeError:
         raise ValueError("a \\u escape gives a lone surrogate, which is not UTF-8") from None
     except ValueError:
-        raise ValueError(_long_integer(text)[1]) from None
+        raise _LongInteger(text) from None
 
 
 def iter_records(path, what: str = "dataset file", digest=None):

@@ -11,17 +11,21 @@ those params alone.
 ``apply_perturbation`` runs prepare, plan and realize for one instance under
 its random stream and records the provenance; ``replay`` rebuilds any
 perturbed instance from its record.  ``iter_conditions`` is the kinds x seeds
-x instances loop that ``freb perturb`` and ``freb evaluate`` share; it runs
-each (instance, kind)'s prepare once for all seeds, and realizes each
-distinct params of an (instance, kind) once: a seed whose plan returns
-params an earlier seed returned gets that seed's perturbed instance object,
-and a perturbation that changes nothing gives the original object.
+x instances loop that ``freb perturb`` and ``freb evaluate`` share, in two
+stages.  The plan stage (``plan_conditions``) runs each (instance, kind)'s
+prepare once for all seeds and every plan, and gives plain data: each
+instance's derived seed and params, or its skip entry.  The realize stage
+(``realize_conditions``) builds the conditions from that data alone, so the
+two may run in different processes: it realizes each distinct params of an
+(instance, kind) once, so a seed whose plan returns params an earlier seed
+returned gets that seed's perturbed instance object, and a perturbation that
+changes nothing gives the original object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..core import EQ, RQ, QAInstance
 from ..errors import MissingAnnotation, NotEligible, PerturbSkip, UnsupportedKind
@@ -220,7 +224,12 @@ class Condition:
     skipped: list[dict]
 
 
-_UNPREPARED = object()
+# What the plan stage gives for one kind: the kind, then per seed the
+# seed and one outcome per instance, in dataset order.  An outcome is the
+# instance's skip entry (a dict) or its (derived seed, params); a skip the
+# prepare step raised is one entry object shared by every seed.  It is
+# plain data, so it can be pickled from another process.
+KindPlan = tuple[str, list[tuple[int, list]]]
 
 
 @dataclass(frozen=True)
@@ -234,48 +243,58 @@ def _skip_entry(instance: QAInstance, exc: PerturbSkip) -> dict:
     return {"id": instance.id, "reason": type(exc).__name__, "detail": str(exc)}
 
 
-def iter_conditions(
+def plan_conditions(
     instances: Sequence[QAInstance], kinds: Sequence[str], seeds: Sequence[int]
-) -> Iterator[Condition]:
-    """Perturb every instance under each kind x seed, one condition at a time.
-
-    Gives what ``apply_perturbation`` gives for each (kind, seed, instance),
-    in that order, but runs each (instance, kind)'s prepare step once, and
-    realizes each distinct params of an (instance, kind) once: the seeds
-    whose plans return equal params share one perturbed instance object.
-    A perturbed instance equal to its original (a no-op) is given as the
-    original object itself, so a caller can tell it by identity.  Every plan
-    still runs, so every draw and record is as it was.  Nothing is kept past
-    the kind that made it.
-    """
+) -> Iterator[KindPlan]:
+    """The plan stage: every draw of every (kind, seed, instance), one kind
+    at a time.  Each (instance, kind)'s prepare step runs once for all seeds."""
     for kind in kinds:
         spec = _spec(kind)
-        # Per instance, filled at the first seed: the prepared input of its
-        # plan, or the _Skipped outcome that holds for every seed.
-        state: list = [_UNPREPARED] * len(instances)
+        # Per instance: the prepared input of its plan, or its _Skipped.
+        prepared: list = []
+        for inst in instances:
+            try:
+                prepared.append(spec.prepare(inst))
+            except PerturbSkip as exc:
+                prepared.append(_Skipped(_skip_entry(inst, exc)))
+        per_seed = []
+        for seed in seeds:
+            outcomes = []
+            for inst, known in zip(instances, prepared):
+                if type(known) is _Skipped:
+                    outcomes.append(known.entry)
+                    continue
+                rng = derive_rng(seed, inst.id, kind)
+                try:
+                    outcomes.append((rng.seed, spec.plan(known, rng)))
+                except PerturbSkip as exc:
+                    outcomes.append(_skip_entry(inst, exc))
+            per_seed.append((seed, outcomes))
+        yield kind, per_seed
+
+
+def realize_conditions(
+    instances: Sequence[QAInstance], plans: Iterable[KindPlan]
+) -> Iterator[Condition]:
+    """The realize stage: each planned (kind, seed) as a ``Condition`` of the
+    instances it was planned on.  Each distinct params of an (instance,
+    kind) is realized once, so the seeds whose plans return equal params
+    share one perturbed instance object, and a perturbed instance equal to
+    its original (a no-op) is the original object itself."""
+    for kind, per_seed in plans:
+        spec = _spec(kind)
         # (instance index, repr(params)) -> the instance realized from them.
         # Params are JSON-able dicts built in a fixed key order, so equal
         # reprs mean equal params.
         realized: dict[tuple[int, str], QAInstance] = {}
-        for seed in seeds:
+        for seed, outcomes in per_seed:
             perturbed = []
             skipped = []
-            for i, inst in enumerate(instances):
-                known = state[i]
-                if known is _UNPREPARED:
-                    try:
-                        known = state[i] = spec.prepare(inst)
-                    except PerturbSkip as exc:
-                        known = state[i] = _Skipped(_skip_entry(inst, exc))
-                if isinstance(known, _Skipped):
-                    skipped.append(known.entry)
+            for i, (inst, outcome) in enumerate(zip(instances, outcomes)):
+                if type(outcome) is dict:
+                    skipped.append(outcome)
                     continue
-                rng = derive_rng(seed, inst.id, kind)
-                try:
-                    params = spec.plan(known, rng)
-                except PerturbSkip as exc:
-                    skipped.append(_skip_entry(inst, exc))
-                    continue
+                derived, params = outcome
                 key = (i, repr(params))
                 out = realized.get(key)
                 if out is None:
@@ -283,5 +302,18 @@ def iter_conditions(
                     # A no-op is the original itself.  Realized tables share
                     # the original's cells, so this compares mostly by identity.
                     realized[key] = out = inst if out == inst else out
-                perturbed.append((out, PerturbationRecord(kind, rng.seed, params, inst.id)))
+                perturbed.append((out, PerturbationRecord(kind, derived, params, inst.id)))
             yield Condition(kind, seed, perturbed, skipped)
+
+
+def iter_conditions(
+    instances: Sequence[QAInstance], kinds: Sequence[str], seeds: Sequence[int]
+) -> Iterator[Condition]:
+    """Perturb every instance under each kind x seed, one condition at a time.
+
+    Gives what ``apply_perturbation`` gives for each (kind, seed, instance),
+    in that order, with the sharing ``realize_conditions`` describes.  Every
+    plan still runs, so every draw and record is as it was.  Nothing is
+    kept past the kind that made it.
+    """
+    return realize_conditions(instances, plan_conditions(instances, kinds, seeds))

@@ -11,33 +11,43 @@ conditions are handed to it (``submit``) before the batch before them is
 scored, so a subprocess or HTTP model answers the next kind while this one
 is perturbed and scored.  Scoring still runs in condition order, so the
 report does not depend on when answers arrive.  A reference or file model
-has nothing in flight, and each kind is scored as soon as it is made.
+has nothing in flight, and each kind is scored as soon as it is made; with
+``workers`` > 1 its run draws the perturbation plans (``plan_conditions``)
+in one forked helper process, a kind ahead, while this process realizes
+them, asks the model and scores, so the model is still asked, and its calls
+counted, here.  ``report_to_json`` encodes each skip entry a kind shares
+across seeds once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import threading
 from collections import deque
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
-from .backends import parse_backend
+from .backends import _InProcess, parse_backend
 from .classify import ComparativeLexicon
 from .errors import ConfigError, DatasetError
-from .ingest import load_dataset, read_lines
+from .ingest import JsonFloat, load_dataset, read_lines
 from .metrics import ORIGINAL, aggregate_seeds, em, emd, is_correct, vp_from_correctness
 from .perturb import (
     ALL_KINDS,
     FAMILY_KINDS,
     REMOVE_RELEVANT,
     REMOVE_TABLE,
-    iter_conditions,
     kind_from_name,
+    plan_conditions,
+    realize_conditions,
 )
+from .perturb.apply import KindPlan
 from .serialize import length_filter
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -287,16 +297,83 @@ def _score_all(backend, kept, config: RunConfig, has_cue) -> tuple[dict, dict, l
         while len(held) > int(in_flight):
             score(held.popleft())
 
-    feed(None)
-    for _, same_kind in groupby(
-        iter_conditions(kept, config.kinds, config.seeds), key=lambda c: c.kind
-    ):
-        feed([_Asked(c.kind, c.seed, [inst for inst, _ in c.perturbed], c.skipped)
-              for c in same_kind])
+    with _plans(kept, config, backend) as plans:
+        feed(None)
+        for _, same_kind in groupby(realize_conditions(kept, plans), key=lambda c: c.kind):
+            feed([_Asked(c.kind, c.seed, [inst for inst, _ in c.perturbed], c.skipped)
+                  for c in same_kind])
     while held:
         score(held.popleft())
     original_correct, original_failures = original
     return original_correct, original_failures, conditions
+
+
+@contextmanager
+def _plans(instances, config: RunConfig, backend) -> Iterator[Iterator[KindPlan]]:
+    """The plan stage's kinds for ``config``, one kind at a time.
+
+    When the backend answers in this process and ``workers`` allows a second
+    core, they are drawn in one forked helper process that sends each kind,
+    pickled, through a pipe, so the caller realizes, asks and scores one
+    kind while the helper plans the next.  The helper is forked only while
+    this process runs one thread, since a fork copies no other thread.
+    However the caller leaves, it closes its end of the pipe, so that a
+    helper blocked on a write exits, and reaps the helper.  An exception the
+    helper raises is raised again here.
+    """
+    plans = plan_conditions(instances, config.kinds, config.seeds)
+    if not (
+        isinstance(backend, _InProcess)
+        and config.workers > 1
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+    ):
+        yield plans
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _send_plans(plans, write_fd)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        yield _received(pipe, len(config.kinds))
+    finally:
+        pipe.close()
+        os.waitpid(pid, 0)
+
+
+def _send_plans(plans: Iterator[KindPlan], fd: int) -> NoReturn:
+    """The helper's whole life: pickle each kind's plans, or the exception
+    that stopped them, to ``fd``, then leave without running anything the
+    parent process set up."""
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                for plan in plans:
+                    pipe.write(pickle.dumps(plan, pickle.HIGHEST_PROTOCOL))
+                    pipe.flush()
+            except BrokenPipeError:
+                pass  # the caller has stopped reading
+            except BaseException as exc:
+                pipe.write(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                raise
+    finally:
+        os._exit(0)
+
+
+def _received(pipe, n_kinds: int) -> Iterator[KindPlan]:
+    """The ``n_kinds`` plans the helper sends; the exception it sends instead
+    is raised."""
+    for _ in range(n_kinds):
+        try:
+            plan = pickle.load(pipe)
+        except EOFError:
+            raise RuntimeError("the perturbation helper process ended early") from None
+        if isinstance(plan, BaseException):
+            raise plan
+        yield plan
 
 
 def _outcomes(backend, condition: tuple[str, int], instances, known: dict) -> tuple[dict, dict]:
@@ -422,12 +499,79 @@ def _findings(report: dict) -> dict:
     }
 
 
+# The values json writes without nesting (bool is an int), and its text for
+# one: json.dumps(..., ensure_ascii=False) writes them with this encoder.
+_SCALARS = (str, int, float, type(None))
+_scalar_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
+    and a newline, built in one pass into one list of pieces.  A dict whose
+    values are all scalars is encoded once per (object, depth), however often
+    the report holds it, as it holds each skip entry a prepare step shares
+    across seeds.  A key that is not a str, or a value json cannot encode,
+    raises TypeError."""
+    pieces: list[str] = []
+    flat: dict[tuple[int, int], str] = {}  # (id, depth) -> text of an all-scalar dict
+
+    def encode(value, depth: int) -> None:
+        if isinstance(value, _SCALARS):
+            pieces.append(_scalar_json(value))
+            return
+        indent = "\n" + "  " * depth
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not value:
+                pieces.append("{}")
+                return
+            text = flat.get((id(value), depth))
+            if text is not None:
+                pieces.append(text)
+                return
+            keys = sorted(value)
+            if not all(isinstance(key, str) for key in keys):
+                raise TypeError(f"keys must be str, not {keys!r}")
+            if all(isinstance(value[key], _SCALARS) for key in keys):
+                text = flat[id(value), depth] = "{" + inner + ("," + inner).join(
+                    f"{_scalar_json(key)}: {_scalar_json(value[key])}" for key in keys
+                ) + indent + "}"
+                pieces.append(text)
+                return
+            separator = "{" + inner
+            for key in keys:
+                pieces.append(f"{separator}{_scalar_json(key)}: ")
+                encode(value[key], depth + 1)
+                separator = "," + inner
+            pieces.append(indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                pieces.append("[]")
+                return
+            separator = "[" + inner
+            for item in value:
+                pieces.append(separator)
+                encode(item, depth + 1)
+                separator = "," + inner
+            pieces.append(indent + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    encode(report, 0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _number(value):
+    """A number of a report read back through ``ingest.decode_json`` as a
+    float: a JsonFloat is the text of its numeral, any other value is itself,
+    so that a string where a number belongs stays an error when formatted."""
+    return float(value) if type(value) is JsonFloat else value
 
 
 def render_report_text(report: dict) -> str:
-    """Fixed-width text rendering of a report dict."""
+    """Fixed-width text rendering of a report dict, whether as
+    ``run_pipeline`` returns it or as ``ingest.read_json`` reads it back."""
     lines = []
     lines.append(f"model    {report['model']}")
     lines.append(
@@ -435,7 +579,7 @@ def render_report_text(report: dict) -> str:
         f"({report['n_scored']} scored / {report['n_loaded']} loaded)"
     )
     original = report["original"]
-    lines.append(f"original Em {original['em']:.4f}  (n={original['n']})")
+    lines.append(f"original Em {_number(original['em']):.4f}  (n={original['n']})")
     lines.append("")
 
     lines.append("per-kind summary (mean +/- std over seeds)")
@@ -446,11 +590,15 @@ def render_report_text(report: dict) -> str:
         if s["em_mean"] is None:
             lines.append(f"{s['kind']:<22}{0:>6}  {'-':>15}  {'-':>16}  {'-':>14}")
             continue
+        em_mean, em_std, emd_mean, emd_std, vp_mean, vp_std = map(_number, (
+            s["em_mean"], s["em_std"], s["emd_mean"], s["emd_std"], s["vp_pct_mean"],
+            s["vp_pct_std"],
+        ))
         lines.append(
             f"{s['kind']:<22}{s['n']:>6}  "
-            f"{s['em_mean']:.4f}+/-{s['em_std']:.4f}  "
-            f"{s['emd_mean']:+.4f}+/-{s['emd_std']:.4f}  "
-            f"{s['vp_pct_mean']:5.2f}+/-{s['vp_pct_std']:.2f}"
+            f"{em_mean:.4f}+/-{em_std:.4f}  "
+            f"{emd_mean:+.4f}+/-{emd_std:.4f}  "
+            f"{vp_mean:5.2f}+/-{vp_std:.2f}"
         )
     lines.append("")
 
@@ -458,7 +606,7 @@ def render_report_text(report: dict) -> str:
     if gapped:
         lines.append("VP split by comparative cues (gap = compare - non-compare)")
         for s in gapped:
-            lines.append(f"{s['kind']:<22}gap {100.0 * s['gap_mean']:+.2f}%")
+            lines.append(f"{s['kind']:<22}gap {100.0 * _number(s['gap_mean']):+.2f}%")
         lines.append("")
 
     skip_counts: dict[tuple[str, str], int] = {}

@@ -573,7 +573,8 @@ def test_submit_keys_each_instance_object_once(monkeypatch):
         payloads.clear()
         entries, failures = backend.predictions_for((ORIGINAL, 0), [EXTREMAL, LOOKUP, EXTREMAL])
         assert entries == {"rq-1": "x", "eq-1": "x"} and failures == {}
-        assert payloads == ["rq-1", "eq-1"]
+        # What submit keyed is taken with its key, so nothing is keyed again.
+        assert payloads == []
 
 
 # --- spec parsing ----------------------------------------------------------------------

@@ -99,6 +99,7 @@ def test_lexicon_from_file(tmp_path):
         "{",
         '{"explicit_words": ["most"], "exceptions": ["most"]}',
         '{"exceptions": [1]}',
+        '{"explicit_words": [1.5]}',
         '{"explicit_words": "most"}',
         '{"exceptions": "water"}',
     ],

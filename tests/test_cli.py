@@ -442,8 +442,15 @@ def test_bad_input_file_is_one_error_line(tmp_path, toy_path, capsys, name, faul
 # JSON that json.loads refuses with a plain ValueError (an integer past
 # Python's 4,300-digit int-to-string limit) or a RecursionError (nesting
 # too deep), not a JSONDecodeError.  The integer is on line 2.
+# A report that renders, but whose model name no UTF-8 output can hold.
+_SURROGATE_REPORT = {
+    "model": "\ud800", "config": {"dataset": "d"}, "n_scored": 0, "n_loaded": 0,
+    "original": {"em": 0.0, "n": 0}, "kind_summaries": [], "conditions": [],
+    "findings": {"table_independence": {"flagged": False}},
+}
 _UNREADABLE_JSON = {"huge integer": '\n{"id": ' + "1" * 5000 + "}\n",
-                    "deep nesting": "[" * 100_000 + "\n"}
+                    "deep nesting": "[" * 100_000 + "\n",
+                    "lone surrogate": "\n" + json.dumps(_SURROGATE_REPORT) + "\n"}
 
 
 @pytest.mark.parametrize("fault", list(_UNREADABLE_JSON))

@@ -104,6 +104,8 @@ def test_normalize_answer_mixed_text_untouched():
 def test_normalize_answer_idempotent(raw):
     once = normalize_answer(raw)
     assert normalize_answer(once) == once
+    # The cache answers what the function itself would.
+    assert once == normalize_answer.__wrapped__(raw)
 
 
 @given(st.fractions(max_denominator=1000))

@@ -1,6 +1,8 @@
 """Config parsing and the perturb-predict-score pipeline."""
 
 import hashlib
+import json
+import math
 import sys
 import threading
 import time
@@ -8,6 +10,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freb.errors import ConfigError, DatasetError
 from freb.pipeline import (
@@ -737,6 +740,175 @@ def test_pipeline_leaves_no_transport_thread_running(tmp_path, toy_path, monkeyp
     else:
         run_pipeline(config)
     assert set(threading.enumerate()) <= before
+
+
+# --- the helper process that draws the perturbation plans ------------------------
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` made during the test; at the
+    end, no child may be left unreaped."""
+    import os
+
+    made = []
+    plain = os.fork
+
+    def fork():
+        pid = plain()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _report_bytes(dataset, backend, workers, kinds=KIND_GROUPS["all"], seeds=(0, 1, 2)):
+    return report_to_json(run_pipeline(RunConfig(
+        dataset=dataset, kinds=kinds, seeds=seeds, backend=backend, workers=workers,
+    )))
+
+
+@pytest.mark.parametrize("model", ["faithful_oracle", "last_row_biased", "first_row_biased",
+                                   "majority_answer"])
+@pytest.mark.parametrize("variant", ["toy", "sorted"])
+def test_pipeline_report_is_the_same_with_a_helper_process(
+    request, forks, variant, model
+):
+    # Two workers let an in-process model's run draw its plans in one helper
+    # process; the report must not tell.
+    dataset = request.getfixturevalue(f"{variant}_path")
+    alone = _report_bytes(dataset, f"reference:{model}", workers=1)
+    assert forks == []
+    assert threading.active_count() == 1
+    assert _report_bytes(dataset, f"reference:{model}", workers=2) == alone
+    assert len(forks) == 1
+
+
+def test_pipeline_file_model_report_is_the_same_with_a_helper_process(
+    tmp_path, toy_path, toy_instances, forks
+):
+    import json
+
+    kinds, seeds = ("TRANSPOSE", "SHUFFLE_ROWS", "VALUE_AC"), (0, 1)
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    names = ["original.jsonl"] + [f"{k.lower()}.seed{s}.jsonl" for k in kinds for s in seeds]
+    for n, name in enumerate(names):
+        # Some right, some wrong, some missing: each file differs.
+        lines = [
+            json.dumps({"instance_id": inst.id, "prediction": inst.answers[0] if j % 3 else "x"})
+            for j, inst in enumerate(toy_instances) if (j + n) % 7
+        ]
+        (preds / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    alone = _report_bytes(toy_path, f"file:{preds}", 1, kinds, seeds)
+    assert _report_bytes(toy_path, f"file:{preds}", 2, kinds, seeds) == alone
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pipeline_raises_what_a_plan_raises(toy_path, monkeypatch, forks, workers):
+    # A fault inside a plan reaches the caller whether the plan ran in the
+    # helper process or in the caller, and the helper is reaped.
+    from freb.perturb import apply
+
+    plain = apply.derive_rng
+
+    def derive_rng(seed, instance_id, kind):
+        if kind == "SHUFFLE_COLS" and seed == 1:
+            raise ValueError(f"no draw for {instance_id}")
+        return plain(seed, instance_id, kind)
+
+    monkeypatch.setattr(apply, "derive_rng", derive_rng)
+    with pytest.raises(ValueError, match="no draw for "):
+        _report_bytes(toy_path, "reference:faithful_oracle", workers)
+    assert len(forks) == workers - 1
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
+def test_pipeline_reaps_the_helper_when_the_caller_stops(toy_path, monkeypatch, forks, stop):
+    # The caller stops after two kinds, while the helper still has plans to
+    # send: closing the pipe ends the helper, and the caller reaps it.
+    from freb.backends import ReferenceBackend
+
+    plain = ReferenceBackend.predictions_for
+    asked = []
+
+    def predictions_for(self, condition, instances):
+        asked.append(condition[0])
+        if len(set(asked)) > 2:
+            raise stop("stopped")
+        return plain(self, condition, instances)
+
+    monkeypatch.setattr(ReferenceBackend, "predictions_for", predictions_for)
+    with pytest.raises(stop):
+        _report_bytes(toy_path, "reference:faithful_oracle", 2, seeds=(0, 1, 2, 3, 4))
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("backend", ["subprocess:unused", "http://127.0.0.1:9/predict"])
+def test_pipeline_never_forks_for_a_transport(toy_path, monkeypatch, forks, backend):
+    # A subprocess or HTTP model has its own worker threads, and its calls
+    # are what a run counts, so its run draws its plans in the caller.
+    from freb.backends import HttpBackend, SubprocessBackend
+
+    send = _fake_model(Counter(), threading.Lock())
+    monkeypatch.setattr(SubprocessBackend, "_send", send)
+    monkeypatch.setattr(HttpBackend, "_send", send)
+    _report_bytes(toy_path, backend, 2, kinds=("TRANSPOSE", "SHUFFLE_ROWS"), seeds=(0, 1))
+    assert forks == []
+
+
+def test_report_to_json_equals_json_dumps(faithful_report):
+    # Each seed's list of prepare-time skips holds the same entry objects.
+    entries = [e for c in faithful_report["conditions"] for e in c["skipped"]]
+    assert len({id(e) for e in entries}) < len(entries)
+    assert report_to_json(faithful_report) == json.dumps(
+        faithful_report, indent=2, sort_keys=True, ensure_ascii=False
+    ) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 10**300, -(2**64)]),
+    st.text(max_size=8), st.sampled_from(["", "\U0001f600", "a\U00010348b", "\x00\"\\\n\u2028"]),
+)
+_KEYS = st.text(max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_report_to_json_matches_json_dumps_on_shared_trees(data):
+    # Dicts reused at several places and depths, as the skip entries are.
+    flat = data.draw(st.lists(st.dictionaries(_KEYS, _SCALARS, max_size=4), max_size=4))
+    leaves = st.one_of(_SCALARS, st.sampled_from(flat)) if flat else _SCALARS
+    tree = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=4)
+        ),
+        max_leaves=20,
+    )
+    shared = data.draw(st.lists(tree, max_size=3))
+    value = data.draw(st.recursive(
+        st.one_of(tree, st.sampled_from(shared)) if shared else tree,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(_KEYS, inner, max_size=3)
+        ),
+        max_leaves=8,
+    ))
+    expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert report_to_json(value) == expected
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{"a": object()}], {"a": b"x"}])
+def test_report_to_json_refuses_what_json_cannot_hold(value):
+    with pytest.raises(TypeError):
+        report_to_json(value)
 
 
 @pytest.mark.parametrize("change", ["replaced", "removed"])
