@@ -7,12 +7,14 @@ HTTP endpoint, and built-in reference models.  The subprocess and HTTP
 backends share one transport, which sends each distinct payload once per
 run and remembers its answer, but not its failure.  It sends from one pool
 of ``workers`` threads kept until ``close``, and ``submit`` hands it a
-run's next instances to send ahead of ``predictions_for``.  Every backend
-has ``submit`` and ``close``; the file and reference backends answer when
-asked, so they never have anything in flight.  The reference models
-are deliberately simple probes: a faithful oracle that actually reads the
-table, positionally biased readers, and a constant-answer model.  A harness
-that cannot distinguish these has no business judging real systems.
+run's next instances to send ahead of ``predictions_for``.  The HTTP
+backend keeps its connections open from first use to ``close``, at most
+``workers`` of them.  Every backend has ``submit`` and ``close``; the file
+and reference backends answer when asked, so they never have anything in
+flight.  The reference models are deliberately simple probes: a faithful
+oracle that actually reads the table, positionally biased readers, and a
+constant-answer model.  A harness that cannot distinguish these has no
+business judging real systems.
 
 One reply rule: a prediction file's ``prediction`` and ``instance_id`` and
 an HTTP reply's answer or label must each be a JSON string or number, read
@@ -190,8 +192,11 @@ class _Transport:
 
     A subclass says how one instance becomes a payload (``_payload``) and
     how one payload is sent and its reply read (``_send``, which raises on
-    failure).  The stdlib modules a transport sends with are imported on
-    first use, so building any other backend never loads them.
+    failure).  What its sends share for the whole run, such as the HTTP
+    backend's idle connections, it releases in its own ``close`` after the
+    pool has stopped, when no send can be running.  The stdlib modules a
+    transport sends with are imported on first use, so building any other
+    backend never loads them.
     """
 
     reuses = False
@@ -321,7 +326,18 @@ class HttpBackend(_Transport):
     """POSTs {"question", "table_serialized"} as JSON and expects a JSON
     object back whose ``reply_key`` entry ("answer" for models, "label" for
     the classify secondary) is a string or number.  A bearer token is
-    forwarded from the FREB_HTTP_TOKEN environment variable."""
+    forwarded from the FREB_HTTP_TOKEN environment variable.
+
+    Sends go over HTTP/1.1 connections kept for the whole run.  Idle ones
+    sit in ``_idle``: a worker pops one, or opens one if none is free, and
+    puts it back after a full exchange, so a run holds at most ``workers``
+    connections and no two attempts share one.  A connection that failed
+    is closed, not put back; ``close`` closes the idle ones once the pool
+    has stopped.  The proxy for the URL's scheme, if the environment names
+    one (``http_proxy``, ``https_proxy``, ``no_proxy``), is read once: an
+    ``http:`` request goes to it with its absolute URL, an ``https:`` one
+    through a CONNECT tunnel.
+    """
 
     def __init__(
         self,
@@ -331,10 +347,53 @@ class HttpBackend(_Transport):
         workers: int = 1,
         reply_key: str = "answer",
     ):
+        import base64
+        import socket
+        import urllib.request
+        from urllib.parse import unquote, urlsplit
+
+        from . import __version__
+
         super().__init__(timeout, retries, workers)
         self.url = url
         self.reply_key = reply_key
         self.model_id = f"http:{url}"
+        self._idle: list = []  # list.pop and list.append are atomic
+        # A server that writes a reply's headers and body apart holds the
+        # body (Nagle's algorithm) until the headers are ACKed, and on a
+        # kept-alive connection Linux may delay that ACK by about 40 ms
+        # unless asked for a quick one after each request.
+        quickack = getattr(socket, "TCP_QUICKACK", None)
+        self._quickack = None if quickack is None else (socket.IPPROTO_TCP, quickack, 1)
+        parts = urlsplit(url)
+        self._https = parts.scheme.lower() == "https"
+        # An explicit port: http.client would read a bare IPv6 host's last
+        # group as one.
+        default_port = 443 if self._https else 80
+        self._address = origin = parts.hostname, parts.port or default_port
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._tunnel = None
+        self._headers = {"Content-Type": "application/json", "User-Agent": f"freb/{__version__}"}
+        proxy = urllib.request.getproxies().get(parts.scheme.lower())
+        if proxy and not urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+            proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            self._address = proxy_parts.hostname, proxy_parts.port or default_port
+            auth = {}
+            if proxy_parts.username and proxy_parts.password:
+                creds = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    creds.encode("utf-8")
+                ).decode("ascii")
+            if self._https:
+                self._tunnel = (*origin, auth)
+            else:
+                self._target = url.partition("#")[0]
+                self._headers.update(auth)
+
+    def close(self) -> None:
+        super().close()
+        while self._idle:
+            self._idle.pop().close()
 
     def _payload(self, inst: QAInstance) -> bytes:
         body = {"question": inst.question, "table_serialized": serialize(inst.table)}
@@ -342,19 +401,58 @@ class HttpBackend(_Transport):
 
     def _send(self, body: bytes) -> str:
         import http.client
-        import urllib.request
 
-        headers = {"Content-Type": "application/json"}
+        headers = dict(self._headers)
         token = os.environ.get(HTTP_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        request = urllib.request.Request(self.url, data=body, headers=headers)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = response.read()
+            status, reason, reply = self._exchange(body, headers)
         except http.client.HTTPException as exc:
             raise BackendError(str(exc)) from exc
-        return _answer_of(body, self.reply_key)
+        if not 200 <= status < 300:
+            raise BackendError(f"HTTP Error {status}: {reason}")
+        return _answer_of(reply, self.reply_key)
+
+    def _exchange(self, body: bytes, headers: dict[str, str]) -> tuple[int, str, bytes]:
+        """(status, reason, body) of one POST, over an idle connection if
+        there is one.  A reused connection that fails before its reply
+        begins was closed by the server while idle: the request is sent
+        once more on a new connection, which is not a retry."""
+        try:
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._connect()
+        while True:
+            reused = conn.sock is not None
+            try:
+                try:
+                    conn.request("POST", self._target, body, headers)
+                    if self._quickack is not None:
+                        conn.sock.setsockopt(*self._quickack)
+                    response = conn.getresponse()
+                except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is one
+                    if not reused:
+                        raise
+                    conn.close()
+                    conn = self._connect()
+                    continue
+                reply = response.read()
+            except BaseException:
+                conn.close()
+                raise
+            self._idle.append(conn)
+            return response.status, response.reason, reply
+
+    def _connect(self):
+        """A new connection to the origin or its proxy; it opens on first use."""
+        import http.client
+
+        kind = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+        conn = kind(*self._address, timeout=self.timeout)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn
 
 
 def _answer_of(body: bytes, key: str) -> str:

@@ -41,26 +41,44 @@ def sorted_path(tmp_path_factory):
 def loopback():
     """A local HTTP endpoint for the HTTP backend and secondary.
 
-    ``url`` is its address and ``seen`` records each POST's JSON body and
-    Authorization header.  Raw strings in ``replies`` are sent first to
-    last; after that each reply is ``reply(body)`` as JSON, by default the
-    question in upper case as the answer.
+    ``url`` is its address and ``seen`` records each POST's JSON body,
+    Authorization header, request line and headers.  Raw strings in
+    ``replies`` are sent first to last; after that each reply is
+    ``reply(body)`` as JSON, by default the question in upper case as the
+    answer.  Every reply has the HTTP ``status``; a 3xx one names the
+    endpoint itself as its Location.  A CONNECT is recorded likewise, with
+    no body, and refused with 502.
     """
     state = SimpleNamespace(
-        seen=[], replies=[], reply=lambda body: {"answer": body["question"].upper()}
+        seen=[], replies=[], reply=lambda body: {"answer": body["question"].upper()}, status=200
     )
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            state.seen.append({"body": body, "auth": self.headers.get("Authorization")})
+            state.seen.append(
+                {
+                    "body": body,
+                    "auth": self.headers.get("Authorization"),
+                    "line": self.requestline,
+                    "headers": dict(self.headers),
+                }
+            )
             raw = state.replies.pop(0) if state.replies else json.dumps(state.reply(body))
             reply = raw.encode("utf-8")
-            self.send_response(200)
+            self.send_response(state.status)
+            if 300 <= state.status < 400:
+                self.send_header("Location", state.url)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(reply)))
             self.end_headers()
             self.wfile.write(reply)
+
+        def do_CONNECT(self):
+            state.seen.append(
+                {"body": None, "line": self.requestline, "headers": dict(self.headers)}
+            )
+            self.send_error(502)
 
         def log_message(self, *args):
             pass

@@ -6,9 +6,13 @@ import os
 import shlex
 import subprocess
 import sys
-from contextlib import closing
+import threading
+import time
+from contextlib import closing, contextmanager
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -387,6 +391,182 @@ def test_http_backend_unreachable_records_failure():
 
 
 @pytest.mark.parametrize(
+    "status, reason",
+    [
+        (302, "Found"),
+        (404, "Not Found"),
+        (429, "Too Many Requests"),
+        (500, "Internal Server Error"),
+        (503, "Service Unavailable"),
+    ],
+)
+def test_http_backend_status_error_is_a_failure(loopback, status, reason):
+    loopback.status = status  # a 302 names the endpoint as its Location
+    with closing(HttpBackend(loopback.url)) as backend:
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": None}
+    assert failures == {"eq-1": f"HTTP Error {status}: {reason}"}
+    assert len(loopback.seen) == 1
+
+
+@pytest.fixture()
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def test_http_backend_sends_through_the_proxy(loopback, no_proxy_env):
+    proxy = loopback.url.rsplit("/", 1)[0].replace("http://", "http://us%40er:pw@")
+    no_proxy_env.setenv("http_proxy", proxy)
+    with closing(HttpBackend("http://model.invalid:8080/v1/answer?x=1#top")) as backend:
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": LOOKUP.question.upper()} and failures == {}
+    (seen,) = loopback.seen
+    assert seen["line"] == "POST http://model.invalid:8080/v1/answer?x=1 HTTP/1.1"
+    assert seen["headers"]["Host"] == "model.invalid:8080"
+    assert seen["headers"]["Proxy-Authorization"] == "Basic dXNAZXI6cHc="  # us@er:pw
+
+
+def test_http_backend_tunnels_https_through_the_proxy(loopback, no_proxy_env):
+    no_proxy_env.setenv("https_proxy", loopback.url.rsplit("/", 1)[0])
+    with closing(HttpBackend("https://model.invalid/predict")) as backend:
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": None}
+    assert failures == {"eq-1": "Tunnel connection failed: 502 Bad Gateway"}
+    (seen,) = loopback.seen
+    assert seen["line"] == "CONNECT model.invalid:443 HTTP/1.0"
+
+
+def test_http_backend_bypasses_the_proxy_for_no_proxy(loopback, no_proxy_env):
+    no_proxy_env.setenv("http_proxy", "http://127.0.0.1:9")  # nothing listens there
+    no_proxy_env.setenv("no_proxy", "localhost,127.0.0.1")
+    with closing(HttpBackend(loopback.url)) as backend:
+        entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+    assert entries == {"eq-1": LOOKUP.question.upper()} and failures == {}
+    assert loopback.seen[0]["line"] == "POST /predict HTTP/1.1"
+
+
+@contextmanager
+def _http11_endpoint(close_after_reply=False, drop=0):
+    """A threaded HTTP/1.1 endpoint answering each question in upper case.
+
+    ``connections`` lists the connections it accepted, ``open`` those not
+    yet closed, and ``questions`` each question it received.  It closes
+    the connection of each of the first ``drop`` requests without a reply.
+    With ``close_after_reply`` it closes each connection after one reply
+    without saying so (no ``Connection: close``), as a server may close a
+    kept-alive connection while idle.
+    """
+    state = SimpleNamespace(connections=[], open=set(), questions=[])
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = 10
+
+        def setup(self):
+            super().setup()
+            state.connections.append(self.client_address)
+            state.open.add(self.client_address)
+
+        def finish(self):
+            super().finish()
+            state.open.discard(self.client_address)
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            state.questions.append(body["question"])
+            if len(state.questions) <= drop:
+                self.close_connection = True
+                return
+            reply = json.dumps({"answer": body["question"].upper()}).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+            self.close_connection = close_after_reply
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    state.url = f"http://127.0.0.1:{server.server_port}/predict"
+    try:
+        yield state
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+_TWENTY = [replace(LOOKUP, id=f"q{i}", question=f"question {i}?") for i in range(20)]
+
+
+def _all_closed(endpoint, within_s=5.0):
+    deadline = time.monotonic() + within_s
+    while endpoint.open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not endpoint.open
+
+
+def test_http_backend_keeps_at_most_workers_connections():
+    with _http11_endpoint() as endpoint:
+        backend = HttpBackend(endpoint.url, workers=2)
+        entries, failures = backend.predictions_for((ORIGINAL, 0), _TWENTY)
+        assert failures == {}
+        assert entries == {inst.id: inst.question.upper() for inst in _TWENTY}
+        assert sorted(endpoint.questions) == sorted(inst.question for inst in _TWENTY)
+        assert 1 <= len(endpoint.connections) <= 2
+        assert endpoint.open == set(endpoint.connections)  # kept until close
+        backend.close()
+        assert _all_closed(endpoint)
+
+
+def test_http_backend_shares_its_connections_safely_under_stress():
+    # More workers than cores, switching threads as often as possible: a
+    # connection handed to two attempts at once would cross their replies.
+    many = [replace(LOOKUP, id=f"s{i}", question=f"stress {i}?") for i in range(160)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _http11_endpoint() as endpoint:
+            with closing(HttpBackend(endpoint.url, workers=8)) as backend:
+                entries, failures = backend.predictions_for((ORIGINAL, 0), many)
+            assert failures == {}
+            assert entries == {inst.id: inst.question.upper() for inst in many}
+            assert sorted(endpoint.questions) == sorted(inst.question for inst in many)
+            assert len(endpoint.connections) <= 8
+            assert _all_closed(endpoint)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_http_backend_resends_once_when_an_idle_connection_was_closed():
+    with _http11_endpoint(close_after_reply=True) as endpoint:
+        with closing(HttpBackend(endpoint.url, retries=0, workers=2)) as backend:
+            entries, failures = backend.predictions_for((ORIGINAL, 0), _TWENTY)
+        assert failures == {}
+        assert entries == {inst.id: inst.question.upper() for inst in _TWENTY}
+        assert sorted(endpoint.questions) == sorted(inst.question for inst in _TWENTY)
+        assert len(endpoint.connections) == 20
+
+
+def test_http_backend_does_not_resend_when_a_new_connection_fails():
+    with _http11_endpoint(drop=1) as endpoint:
+        with closing(HttpBackend(endpoint.url, retries=0)) as backend:
+            entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+            assert entries == {"eq-1": None}
+            assert failures == {"eq-1": "Remote end closed connection without response"}
+            assert len(endpoint.connections) == 1
+            entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
+            assert entries == {"eq-1": LOOKUP.question.upper()} and failures == {}
+        assert endpoint.questions == [LOOKUP.question] * 2
+
+
+@pytest.mark.parametrize(
     "reply, message",
     [
         ('["x"]', "not a JSON object"),
@@ -455,14 +635,61 @@ def _mutated_replies(draw):
     return bytes(body)
 
 
+class _StubSocket:
+    """What ``http.client`` uses of a socket, replying ``reply`` to each request."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+
+    def sendall(self, data):
+        pass
+
+    def makefile(self, mode):
+        return io.BytesIO(self.reply)
+
+    def setsockopt(self, *args):
+        pass
+
+    def close(self):
+        pass
+
+
+def _stub_connection(body: bytes):
+    """Patch every ``http.client`` connection to reply ``body`` with 200,
+    through a stub socket: no socket is opened and no host is looked up."""
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+    def connect(conn):
+        conn.sock = _StubSocket(reply)
+
+    return patch("http.client.HTTPConnection.connect", connect)
+
+
+def test_http_backend_stubbed_connection_answers():
+    with _stub_connection(_REPLIES[0]), closing(HttpBackend("http://model/")) as backend:
+        assert backend.predictions_for((ORIGINAL, 0), [LOOKUP]) == ({"eq-1": "4"}, {})
+
+
+def test_http_backend_connects_to_a_bare_ipv6_host():
+    addresses, sent = [], []
+
+    def connect(conn):
+        addresses.append((conn.host, conn.port))
+        conn.sock = _StubSocket(b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n" + _REPLIES[0])
+        conn.sock.sendall = sent.append
+
+    with patch("http.client.HTTPConnection.connect", connect):
+        with closing(HttpBackend("http://[::1]/predict")) as backend:
+            assert backend.predictions_for((ORIGINAL, 0), [LOOKUP]) == ({"eq-1": "4"}, {})
+    assert addresses == [("::1", 80)]
+    assert sent[0].startswith(b"POST /predict HTTP/1.1\r\n")
+    assert b"\r\nHost: [::1]\r\n" in sent[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_mutated_replies())
 def test_http_backend_any_reply_is_an_answer_or_a_failure(body):
-    # urlopen is stubbed in-process, so no socket is opened.
-    def urlopen(request, timeout):
-        return io.BytesIO(body)
-
-    with patch("urllib.request.urlopen", urlopen), closing(HttpBackend("http://model/")) as backend:
+    with _stub_connection(body), closing(HttpBackend("http://model/")) as backend:
         entries, failures = backend.predictions_for((ORIGINAL, 0), [LOOKUP])
     if "eq-1" in failures:
         assert entries == {"eq-1": None}
@@ -641,3 +868,4 @@ def test_importing_freb_loads_no_transport_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
