@@ -29,7 +29,7 @@ _EXPORTS = {
     "perturb": ("apply_perturbation", "evaluate_aggregation"),
     "pipeline": ("RunConfig", "render_report_text", "run_pipeline"),
     "rng": ("Rng", "derive_rng", "derive_seed"),
-    "serialize": ("length_filter", "parse_serialized", "serialize", "token_count"),
+    "serialize": ("length_filter", "serialize", "token_count"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -9,9 +9,9 @@ run and remembers its answer, but not its failure.  It sends from one pool
 of ``workers`` threads kept until ``close``, and ``submit`` hands it a
 run's next instances to send ahead of ``predictions_for``.  The HTTP
 backend keeps its connections open from first use to ``close``, at most
-``workers`` of them.  Every backend has ``submit`` and ``close``; the file
-and reference backends answer when asked, so they never have anything in
-flight.  The reference models are deliberately simple probes: a faithful
+``workers`` of them; ``workers`` means nothing else.  Every backend has
+``submit`` and ``close``; the file and reference backends answer when asked,
+so they never have anything in flight.  The reference models are deliberately simple probes: a faithful
 oracle that actually reads the table, positionally biased readers, and a
 constant-answer model.  A harness that cannot distinguish these has no
 business judging real systems.
@@ -184,7 +184,8 @@ class _Transport:
     reuse them (``reuses`` is false) but asks again, and the memo answers.
 
     Payloads are sent by one pool of ``workers`` threads that the backend
-    owns until ``close``.  ``submit`` starts sending a run's next instances
+    owns until ``close``; it starts no thread, and opens no connection,
+    before the first ``submit``.  ``submit`` starts sending a run's next instances
     before they are asked for, and ``predictions_for`` takes those attempts
     over, so the model is kept busy while the caller does other work.  Only
     the calling thread reads or writes the memo and the attempts in flight;

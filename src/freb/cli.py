@@ -25,14 +25,16 @@ from .ingest import (
     instance_to_record,
     load_dataset,
     read_json,
+    save_dataset,
     write_records,
     write_text,
 )
-from .perturb import iter_conditions
 from .pipeline import (
     CONFIG_CASTS,
+    DEFAULT_SEEDS,
     build_run_config,
     check_timeout_retries,
+    conditions,
     parse_kinds,
     parse_seeds,
     read_config_values,
@@ -61,7 +63,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True, help="input dataset (JSONL)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--kinds", required=True, help="comma-separated kinds or groups (all/structure/relevance/value)")
-    p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated integer seeds")
+    p.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)), help="comma-separated integer seeds")
 
     c = sub.add_parser("classify", help="label questions as extraction (EQ) or reasoning (RQ)")
     c.add_argument("--in", dest="input", required=True)
@@ -98,24 +100,25 @@ def _cmd_perturb(args) -> int:
     seeds = parse_seeds(args.seeds)
     outdir = Path(args.out)
     skipped: list[dict] = []
-    for condition in iter_conditions(instances, kinds, seeds):
-        kind, seed = condition.kind.lower(), condition.seed
-        records = []
-        for perturbed, rec in condition.perturbed:
-            record = instance_to_record(perturbed)
-            record["provenance"] = {
-                "kind": kind,
-                "global_seed": seed,
-                "derived_seed": rec.seed,
-                "source_id": rec.source_id,
-                "params": rec.params,
-            }
-            records.append(record)
-        path = outdir / f"{kind}.seed{seed}.jsonl"
-        write_records(records, path)
-        print(f"{path}: {len(records)} instances")
-        # Keys in the order id, kind, seed, reason, detail.
-        skipped.extend({"id": s["id"], "kind": kind, "seed": seed, **s} for s in condition.skipped)
+    with conditions(instances, kinds, seeds) as realized:
+        for condition in realized:
+            kind, seed = condition.kind.lower(), condition.seed
+            records = []
+            for perturbed, rec in condition.perturbed:
+                record = instance_to_record(perturbed)
+                record["provenance"] = {
+                    "kind": kind,
+                    "global_seed": seed,
+                    "derived_seed": rec.seed,
+                    "source_id": rec.source_id,
+                    "params": rec.params,
+                }
+                records.append(record)
+            path = outdir / f"{kind}.seed{seed}.jsonl"
+            write_records(records, path)
+            print(f"{path}: {len(records)} instances")
+            # Keys in the order id, kind, seed, reason, detail.
+            skipped.extend({"id": s["id"], "kind": kind, "seed": seed, **s} for s in condition.skipped)
     if skipped:
         write_records(skipped, outdir / "skipped.jsonl")
         print(f"{outdir / 'skipped.jsonl'}: {len(skipped)} skipped")
@@ -205,7 +208,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_toydata(args) -> int:
     instances = build_sorted_dataset() if args.variant == "sorted" else build_toy_dataset()
-    write_records([instance_to_record(i) for i in instances], args.out)
+    save_dataset(instances, args.out)
     print(f"{args.out}: {len(instances)} instances")
     return 0
 

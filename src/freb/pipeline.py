@@ -11,12 +11,14 @@ conditions are handed to it (``submit``) before the batch before them is
 scored, so a subprocess or HTTP model answers the next kind while this one
 is perturbed and scored.  Scoring still runs in condition order, so the
 report does not depend on when answers arrive.  A reference or file model
-has nothing in flight, and each kind is scored as soon as it is made; with
-``workers`` > 1 its run draws the perturbation plans (``plan_conditions``)
-in one forked helper process, a kind ahead, while this process realizes
-them, asks the model and scores, so the model is still asked, and its calls
-counted, here.  ``report_to_json`` encodes each skip entry a kind shares
-across seeds once.
+has nothing in flight, and each kind is scored as soon as it is made.
+
+``conditions`` is where ``freb evaluate`` and ``freb perturb`` get their
+conditions.  Where the machine offers a second CPU it draws the
+perturbation plans (``plan_conditions``) in one forked helper process, a
+kind ahead, while this process realizes them, asks the model and scores, so
+the model is still asked, and its calls counted, here.  ``report_to_json``
+encodes each skip entry a kind shares across seeds once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterator, NamedTuple, NoReturn
 
-from .backends import _InProcess, parse_backend
+from .backends import parse_backend
 from .classify import ComparativeLexicon
 from .errors import ConfigError, DatasetError
 from .ingest import JsonFloat, load_dataset, read_lines
@@ -43,6 +45,8 @@ from .perturb import (
     FAMILY_KINDS,
     REMOVE_RELEVANT,
     REMOVE_TABLE,
+    Condition,
+    iter_conditions,
     kind_from_name,
     plan_conditions,
     realize_conditions,
@@ -59,6 +63,10 @@ KIND_GROUPS = {"all": ALL_KINDS, **FAMILY_KINDS}
 # subprocess refuses timeouts past 2**31 milliseconds (about 24.8 days) with
 # OverflowError, so a larger value would abort the run at its first call.
 MAX_TIMEOUT_S = 1_000_000
+
+# The most calls a subprocess or HTTP model may have in flight: each call
+# takes a thread, and over HTTP a connection, until the run ends.
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,8 @@ class RunConfig:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers must be at most {MAX_WORKERS}, got {self.workers}")
 
 
 def check_timeout_retries(timeout: float, retries: int) -> None:
@@ -204,7 +214,7 @@ def run_pipeline(config: RunConfig) -> dict:
             raise DatasetError("no instances left to evaluate after length filtering")
         # Perturbations never change the question, so its cue is computed once.
         has_cue = {inst.id: lexicon.question_has_cue(inst.question) for inst in kept}
-        original_correct, original_failures, conditions = _score_all(
+        original_correct, original_failures, scored = _score_all(
             backend, kept, config, has_cue
         )
 
@@ -227,8 +237,8 @@ def run_pipeline(config: RunConfig) -> dict:
             "n": len(kept),
             "failures": original_failures,
         },
-        "conditions": conditions,
-        "kind_summaries": [_summarize_kind(kind, conditions) for kind in config.kinds],
+        "conditions": scored,
+        "kind_summaries": [_summarize_kind(kind, scored) for kind in config.kinds],
         "notes": {
             "pairing": "perturbed conditions are scored against the original "
             "predictions restricted to the same instances",
@@ -275,7 +285,7 @@ def _score_all(backend, kept, config: RunConfig, has_cue) -> tuple[dict, dict, l
     # perturbation is the original instance, so each kind starts with these.
     originals: dict = {}
     original: list = []  # (correct, failures) of the originals once scored
-    conditions: list[dict] = []
+    entries: list[dict] = []
     held: deque = deque()  # batches handed to the backend, not yet scored
 
     def score(batch) -> None:
@@ -283,7 +293,7 @@ def _score_all(backend, kept, config: RunConfig, has_cue) -> tuple[dict, dict, l
             original.extend(_outcomes(backend, (ORIGINAL, 0), kept, originals))
             return
         known = dict(originals)
-        conditions.extend(
+        entries.extend(
             _score_condition(backend, condition, original[0], has_cue, known)
             for condition in batch
         )
@@ -297,48 +307,55 @@ def _score_all(backend, kept, config: RunConfig, has_cue) -> tuple[dict, dict, l
         while len(held) > int(in_flight):
             score(held.popleft())
 
-    with _plans(kept, config, backend) as plans:
+    # The helper, if any, is forked before the first submit, so before a
+    # transport has started a thread or opened a connection.
+    with conditions(kept, config.kinds, config.seeds) as realized:
         feed(None)
-        for _, same_kind in groupby(realize_conditions(kept, plans), key=lambda c: c.kind):
+        for _, same_kind in groupby(realized, key=lambda c: c.kind):
             feed([_Asked(c.kind, c.seed, [inst for inst, _ in c.perturbed], c.skipped)
                   for c in same_kind])
     while held:
         score(held.popleft())
     original_correct, original_failures = original
-    return original_correct, original_failures, conditions
+    return original_correct, original_failures, entries
+
+
+def _helper_can_run() -> bool:
+    """Whether a forked plan helper can run beside this process: ``os.fork``
+    exists, this process runs one thread (a fork copies no other), and it
+    may run on more than one CPU."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 @contextmanager
-def _plans(instances, config: RunConfig, backend) -> Iterator[Iterator[KindPlan]]:
-    """The plan stage's kinds for ``config``, one kind at a time.
+def conditions(instances, kinds, seeds) -> Iterator[Iterator[Condition]]:
+    """Every (kind, seed) ``Condition`` of ``instances``, as
+    ``iter_conditions`` gives them, one kind at a time.
 
-    When the backend answers in this process and ``workers`` allows a second
-    core, they are drawn in one forked helper process that sends each kind,
-    pickled, through a pipe, so the caller realizes, asks and scores one
-    kind while the helper plans the next.  The helper is forked only while
-    this process runs one thread, since a fork copies no other thread.
-    However the caller leaves, it closes its end of the pipe, so that a
-    helper blocked on a write exits, and reaps the helper.  An exception the
-    helper raises is raised again here.
+    Where ``_helper_can_run``, the plans are drawn in one forked helper
+    process that sends each kind, pickled, through a pipe, so the caller
+    realizes and uses one kind while the helper plans the next; otherwise
+    ``iter_conditions`` runs in the caller.  However the caller leaves, it
+    closes its end of the pipe, so that a helper blocked on a write exits,
+    and reaps the helper.  An exception the helper raises is raised again
+    here.
     """
-    plans = plan_conditions(instances, config.kinds, config.seeds)
-    if not (
-        isinstance(backend, _InProcess)
-        and config.workers > 1
-        and hasattr(os, "fork")
-        and threading.active_count() == 1
-    ):
-        yield plans
+    if not _helper_can_run():
+        yield iter_conditions(instances, kinds, seeds)
         return
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(read_fd)
-        _send_plans(plans, write_fd)
+        _send_plans(plan_conditions(instances, kinds, seeds), write_fd)
     os.close(write_fd)
     pipe = open(read_fd, "rb")
     try:
-        yield _received(pipe, len(config.kinds))
+        yield realize_conditions(instances, _received(pipe, len(kinds)))
     finally:
         pipe.close()
         os.waitpid(pid, 0)

@@ -6,8 +6,8 @@ Pinned format:
 
 Separators are single-space padded.  Pipes, backslashes and newlines inside
 a value are backslash-escaped ("\\|", "\\\\", "\\n") so the rendering stays
-one line and parses back to the exact grid.  Golden tests pin the format
-bit-exactly; do not restyle it.
+one line and parses back to the exact grid (the tests hold that parser).
+Golden tests pin the format bit-exactly; do not restyle it.
 """
 
 from __future__ import annotations
@@ -17,25 +17,10 @@ import re
 from .core import Table
 
 _ESCAPES = {"\\": "\\\\", "|": "\\|", "\n": "\\n"}
-_UNESCAPES = {"\\": "\\", "|": "|", "n": "\n"}
 
 
 def _escape(value: str) -> str:
     return "".join(_ESCAPES.get(ch, ch) for ch in value)
-
-
-def _unescape(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value) and value[i + 1] in _UNESCAPES:
-            out.append(_UNESCAPES[value[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 def serialize(table: Table) -> str:
@@ -43,56 +28,6 @@ def serialize(table: Table) -> str:
     for i, row in enumerate(table.rows, 1):
         parts.append(f"row {i} : " + " | ".join(_escape(c.raw) for c in row))
     return " ".join(parts)
-
-
-def _split_fields(segment: str) -> list[str]:
-    """Split on " | " separators whose pipe is not escaped."""
-    fields = []
-    current = []
-    i = 0
-    while i < len(segment):
-        ch = segment[i]
-        if ch == "\\" and i + 1 < len(segment):
-            current.append(ch)
-            current.append(segment[i + 1])
-            i += 2
-            continue
-        if ch == "|" and segment[i - 1 : i] == " " and segment[i + 1 : i + 2] == " ":
-            field = "".join(current)
-            fields.append(field[:-1] if field.endswith(" ") else field)
-            current = []
-            i += 2
-            continue
-        current.append(ch)
-        i += 1
-    fields.append("".join(current))
-    return [_unescape(f) for f in fields]
-
-
-def parse_serialized(text: str) -> Table:
-    """Inverse of serialize for escaped content.
-
-    Row markers are located in order ("row 1 : " then "row 2 : " ...), so a
-    cell containing the exact next marker text would mis-split; escaped
-    pipes, backslashes and newlines round-trip exactly.
-    """
-    if not text.startswith("col : "):
-        raise ValueError("serialized table must start with 'col : '")
-    body = text[len("col : "):]
-    segments = []
-    row_index = 1
-    while True:
-        marker = f" row {row_index} : "
-        pos = body.find(marker)
-        if pos < 0:
-            segments.append(body)
-            break
-        segments.append(body[:pos])
-        body = body[pos + len(marker):]
-        row_index += 1
-    headers = _split_fields(segments[0])
-    grid = [_split_fields(seg) for seg in segments[1:]]
-    return Table.from_values(headers, grid)
 
 
 _WS = re.compile(r"\s+")

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -35,6 +36,27 @@ def sorted_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("datasets-sorted") / "toy_sorted.jsonl"
     save_dataset(build_sorted_dataset(), path)
     return path
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` made during the test.  The test
+    sees two CPUs, so a run forks its plan helper whenever it runs one
+    thread; at the end, no child may be left unreaped."""
+    made = []
+    plain = os.fork
+
+    def fork():
+        pid = plain()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()

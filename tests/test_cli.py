@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from freb.cli import main
 from freb.ingest import instance_from_record, load_dataset, read_records
 from freb.perturb import PerturbationRecord, kind_from_name, replay
-from freb.pipeline import RunConfig, parse_kinds, report_to_json, run_pipeline
+from freb.pipeline import MAX_WORKERS, RunConfig, parse_kinds, report_to_json, run_pipeline
 from freb.rng import derive_seed
 
 
@@ -71,6 +72,24 @@ def test_perturb_is_deterministic(tmp_path, toy_path):
     file_a = (out_a / "value_ac.seed3.jsonl").read_bytes()
     file_b = (out_b / "value_ac.seed3.jsonl").read_bytes()
     assert file_a == file_b
+
+
+def test_perturb_writes_the_same_files_with_a_helper_process(
+    tmp_path, toy_path, monkeypatch, capsys, forks
+):
+    # freb perturb gets its conditions as freb evaluate does: with a second
+    # CPU, from one helper process, and nothing it writes or prints tells.
+    def perturb(out):
+        argv = ["perturb", "--in", str(toy_path), "--out", str(out), "--kinds", "all"]
+        assert main([*argv, "--seeds", "0,1,2"]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, printed
+
+    helped = perturb(tmp_path / "helped")
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    assert perturb(tmp_path / "alone") == helped
+    assert len(helped[0]) == 14 * 3 + 1
 
 
 def test_perturb_and_evaluate_share_their_conditions(tmp_path, toy_path):
@@ -361,6 +380,18 @@ def test_exit_code_count_below_one(tmp_path, toy_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.count("config error: ") == 2
     assert err.count(f"{key} must be >= 1, got {value}") == 2
+
+
+@pytest.mark.parametrize("value", [str(MAX_WORKERS + 1), "10000"])
+def test_exit_code_too_many_workers(tmp_path, toy_path, capsys, value):
+    # Too many workers is a config error before any backend is built.
+    out = tmp_path / "out.json"
+    evaluate = ["evaluate", "--dataset", str(toy_path), "--kinds", "transpose", "--out", str(out)]
+    assert main([*evaluate, "--workers", value]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"config error: workers must be at most {MAX_WORKERS}, got {value}\n"
+    )
 
 
 def test_exit_code_config_file_timeout_too_large(tmp_path, toy_path, capsys):

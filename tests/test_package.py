@@ -28,6 +28,17 @@ def test_loading_a_dataset_imports_only_the_data_model():
     assert _fresh(code).split() == ["freb", "freb.core", "freb.errors", "freb.ingest", "freb.serialize"]
 
 
+def test_the_public_names_are_these():
+    assert freb.__all__ == [
+        "AggregationDescriptor", "BackendError", "Cell", "CellCoord", "ConfigError",
+        "DatasetError", "FrebError", "ORIGINAL", "PerturbSkip", "QAInstance", "Rng",
+        "RunConfig", "Table", "aggregate_seeds", "apply_perturbation", "canonical_decimal",
+        "derive_rng", "derive_seed", "em", "emd", "evaluate_aggregation", "length_filter",
+        "normalize_answer", "parse_number", "render_report_text", "run_pipeline", "serialize",
+        "token_count", "validate", "__version__",
+    ]
+
+
 @pytest.mark.parametrize("name", [n for n in freb.__all__ if n != "__version__"])
 def test_each_public_name_is_its_modules_object(name):
     module = importlib.import_module(f"freb.{freb._MODULE_OF[name]}")

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+import os
 import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -17,6 +19,7 @@ from freb.pipeline import (
     DEFAULT_SEEDS,
     KIND_GROUPS,
     MAX_TIMEOUT_S,
+    MAX_WORKERS,
     RunConfig,
     parse_config_file,
     parse_kinds,
@@ -183,6 +186,17 @@ def test_run_config_rejects_a_count_below_one(toy_path, key, value):
 def test_run_config_accepts_one_token_and_one_worker(toy_path):
     config = RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), max_tokens=1, workers=1)
     assert (config.max_tokens, config.workers) == (1, 1)
+
+
+@pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 10_000])
+def test_run_config_rejects_too_many_workers(toy_path, workers):
+    message = f"^workers must be at most {MAX_WORKERS}, got {workers}$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), workers=workers)
+    config = RunConfig(dataset=toy_path, kinds=("TRANSPOSE",), workers=MAX_WORKERS)
+    assert config.workers == MAX_WORKERS
+    with pytest.raises(ConfigError, match=message):
+        replace(config, workers=workers)
 
 
 def test_run_config_accepts_the_largest_timeout(toy_path):
@@ -745,31 +759,30 @@ def test_pipeline_leaves_no_transport_thread_running(tmp_path, toy_path, monkeyp
 # --- the helper process that draws the perturbation plans ------------------------
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids of the children ``os.fork`` made during the test; at the
-    end, no child may be left unreaped."""
-    import os
-
-    made = []
-    plain = os.fork
-
-    def fork():
-        pid = plain()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    yield made
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _report_bytes(dataset, backend, workers, kinds=KIND_GROUPS["all"], seeds=(0, 1, 2)):
+def _report_bytes(dataset, backend, kinds=KIND_GROUPS["all"], seeds=(0, 1, 2)):
     return report_to_json(run_pipeline(RunConfig(
-        dataset=dataset, kinds=kinds, seeds=seeds, backend=backend, workers=workers,
+        dataset=dataset, kinds=kinds, seeds=seeds, backend=backend,
     )))
+
+
+@contextmanager
+def _helper_ruled_out(why):
+    """Within this, a run may not fork its plan helper, for the reason ``why``."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    with pytest.MonkeyPatch.context() as patch:
+        if why == "no fork":
+            patch.delattr(os, "fork")
+        elif why == "one cpu":
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif why == "a second thread":
+            other.start()
+        try:
+            yield
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join()
 
 
 @pytest.mark.parametrize("model", ["faithful_oracle", "last_row_biased", "first_row_biased",
@@ -778,21 +791,20 @@ def _report_bytes(dataset, backend, workers, kinds=KIND_GROUPS["all"], seeds=(0,
 def test_pipeline_report_is_the_same_with_a_helper_process(
     request, forks, variant, model
 ):
-    # Two workers let an in-process model's run draw its plans in one helper
-    # process; the report must not tell.
+    # With a second CPU, a run draws its plans in one helper process; the
+    # report must not tell.
     dataset = request.getfixturevalue(f"{variant}_path")
-    alone = _report_bytes(dataset, f"reference:{model}", workers=1)
-    assert forks == []
     assert threading.active_count() == 1
-    assert _report_bytes(dataset, f"reference:{model}", workers=2) == alone
+    helped = _report_bytes(dataset, f"reference:{model}")
+    assert len(forks) == 1
+    with _helper_ruled_out("no fork"):
+        assert _report_bytes(dataset, f"reference:{model}") == helped
     assert len(forks) == 1
 
 
 def test_pipeline_file_model_report_is_the_same_with_a_helper_process(
     tmp_path, toy_path, toy_instances, forks
 ):
-    import json
-
     kinds, seeds = ("TRANSPOSE", "SHUFFLE_ROWS", "VALUE_AC"), (0, 1)
     preds = tmp_path / "preds"
     preds.mkdir()
@@ -804,13 +816,39 @@ def test_pipeline_file_model_report_is_the_same_with_a_helper_process(
             for j, inst in enumerate(toy_instances) if (j + n) % 7
         ]
         (preds / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    alone = _report_bytes(toy_path, f"file:{preds}", 1, kinds, seeds)
-    assert _report_bytes(toy_path, f"file:{preds}", 2, kinds, seeds) == alone
+    helped = _report_bytes(toy_path, f"file:{preds}", kinds, seeds)
+    assert len(forks) == 1
+    with _helper_ruled_out("no fork"):
+        assert _report_bytes(toy_path, f"file:{preds}", kinds, seeds) == helped
     assert len(forks) == 1
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pipeline_raises_what_a_plan_raises(toy_path, monkeypatch, forks, workers):
+@pytest.mark.parametrize("why", ["no fork", "one cpu", "a second thread"])
+def test_pipeline_plans_in_the_caller_when_no_helper_may_run(toy_path, forks, why):
+    # Without os.fork, with one CPU, or with a thread a fork would not copy,
+    # the plans are drawn in the caller, to the same report.
+    kinds, seeds = ("TRANSPOSE", "SHIFT_RELEVANT_ROWS", "VALUE_NC"), (0, 1)
+    helped = _report_bytes(toy_path, "reference:last_row_biased", kinds, seeds)
+    assert len(forks) == 1
+    with _helper_ruled_out(why):
+        assert _report_bytes(toy_path, "reference:last_row_biased", kinds, seeds) == helped
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("cpus,forked", [(1, 0), (2, 1), (None, 0)])
+def test_pipeline_counts_cpus_where_there_is_no_affinity_call(
+    toy_path, monkeypatch, forks, cpus, forked
+):
+    # Where os.sched_getaffinity is missing, os.cpu_count says whether a
+    # second CPU is there; a count it cannot tell (None) is one CPU.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _report_bytes(toy_path, "reference:faithful_oracle", ("TRANSPOSE",), (0,))
+    assert len(forks) == forked
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_raises_what_a_plan_raises(toy_path, monkeypatch, forks, cpus):
     # A fault inside a plan reaches the caller whether the plan ran in the
     # helper process or in the caller, and the helper is reaped.
     from freb.perturb import apply
@@ -823,9 +861,10 @@ def test_pipeline_raises_what_a_plan_raises(toy_path, monkeypatch, forks, worker
         return plain(seed, instance_id, kind)
 
     monkeypatch.setattr(apply, "derive_rng", derive_rng)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     with pytest.raises(ValueError, match="no draw for "):
-        _report_bytes(toy_path, "reference:faithful_oracle", workers)
-    assert len(forks) == workers - 1
+        _report_bytes(toy_path, "reference:faithful_oracle")
+    assert len(forks) == cpus - 1
 
 
 @pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
@@ -845,21 +884,45 @@ def test_pipeline_reaps_the_helper_when_the_caller_stops(toy_path, monkeypatch, 
 
     monkeypatch.setattr(ReferenceBackend, "predictions_for", predictions_for)
     with pytest.raises(stop):
-        _report_bytes(toy_path, "reference:faithful_oracle", 2, seeds=(0, 1, 2, 3, 4))
+        _report_bytes(toy_path, "reference:faithful_oracle", seeds=(0, 1, 2, 3, 4))
     assert len(forks) == 1
 
 
 @pytest.mark.parametrize("backend", ["subprocess:unused", "http://127.0.0.1:9/predict"])
-def test_pipeline_never_forks_for_a_transport(toy_path, monkeypatch, forks, backend):
-    # A subprocess or HTTP model has its own worker threads, and its calls
-    # are what a run counts, so its run draws its plans in the caller.
+def test_pipeline_forks_its_helper_before_a_transport_sends(toy_path, monkeypatch, forks, backend):
+    # A subprocess or HTTP run forks its helper before its first payload is
+    # sent, so before the transport has a thread or a connection to copy;
+    # the report and the payloads sent are those of a run with no helper.
     from freb.backends import HttpBackend, SubprocessBackend
 
-    send = _fake_model(Counter(), threading.Lock())
-    monkeypatch.setattr(SubprocessBackend, "_send", send)
-    monkeypatch.setattr(HttpBackend, "_send", send)
-    _report_bytes(toy_path, backend, 2, kinds=("TRANSPOSE", "SHUFFLE_ROWS"), seeds=(0, 1))
-    assert forks == []
+    events = []
+    counted = os.fork
+
+    def fork():
+        events.append("fork")
+        return counted()
+
+    def runs():
+        sent: Counter = Counter()
+        send = _fake_model(sent, threading.Lock())
+
+        def logged_send(self, payload):
+            events.append("send")
+            return send(self, payload)
+
+        monkeypatch.setattr(SubprocessBackend, "_send", logged_send)
+        monkeypatch.setattr(HttpBackend, "_send", logged_send)
+        kinds, seeds = ("TRANSPOSE", "SHUFFLE_ROWS"), (0, 1)
+        return _report_bytes(toy_path, backend, kinds, seeds), sent
+
+    monkeypatch.setattr(os, "fork", fork)
+    helped = runs()
+    assert events[0] == "fork" and events.count("fork") == 1
+    assert len(forks) == 1
+    assert threading.active_count() == 1
+    with _helper_ruled_out("no fork"):
+        assert runs() == helped
+    assert len(forks) == 1
 
 
 def test_report_to_json_equals_json_dumps(faithful_report):

@@ -5,7 +5,77 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freb.core import QAInstance, Table
-from freb.serialize import length_filter, parse_serialized, serialize, token_count
+from freb.serialize import length_filter, serialize, token_count
+
+
+# The inverse of serialize, kept here as the round-trip oracle: no product
+# path reads a serialized table back.
+
+_UNESCAPES = {"\\": "\\", "|": "|", "n": "\n"}
+
+
+def _unescape(value: str) -> str:
+    out = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch == "\\" and i + 1 < len(value) and value[i + 1] in _UNESCAPES:
+            out.append(_UNESCAPES[value[i + 1]])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def _split_fields(segment: str) -> list[str]:
+    """Split on " | " separators whose pipe is not escaped."""
+    fields = []
+    current = []
+    i = 0
+    while i < len(segment):
+        ch = segment[i]
+        if ch == "\\" and i + 1 < len(segment):
+            current.append(ch)
+            current.append(segment[i + 1])
+            i += 2
+            continue
+        if ch == "|" and segment[i - 1 : i] == " " and segment[i + 1 : i + 2] == " ":
+            field = "".join(current)
+            fields.append(field[:-1] if field.endswith(" ") else field)
+            current = []
+            i += 2
+            continue
+        current.append(ch)
+        i += 1
+    fields.append("".join(current))
+    return [_unescape(f) for f in fields]
+
+
+def parse_serialized(text: str) -> Table:
+    """Inverse of serialize for escaped content.
+
+    Row markers are located in order ("row 1 : " then "row 2 : " ...), so a
+    cell containing the exact next marker text would mis-split; escaped
+    pipes, backslashes and newlines round-trip exactly.
+    """
+    if not text.startswith("col : "):
+        raise ValueError("serialized table must start with 'col : '")
+    body = text[len("col : "):]
+    segments = []
+    row_index = 1
+    while True:
+        marker = f" row {row_index} : "
+        pos = body.find(marker)
+        if pos < 0:
+            segments.append(body)
+            break
+        segments.append(body[:pos])
+        body = body[pos + len(marker):]
+        row_index += 1
+    headers = _split_fields(segments[0])
+    grid = [_split_fields(seg) for seg in segments[1:]]
+    return Table.from_values(headers, grid)
 
 
 def test_golden_two_row_table():
